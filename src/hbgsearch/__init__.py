@@ -44,15 +44,12 @@ from .search import (
     SearchSpec,
     ShardRange,
     WitnessRecord,
-    brute_force_canonical_witnesses,
-    brute_force_survey,
     enumerate_order,
     enumerate_order_sharded,
     merge_certificates,
     min_order,
     partial_assignment,
     partition,
-    random_pattern,
 )
 
 __version__ = "0.1.0"

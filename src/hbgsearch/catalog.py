@@ -29,7 +29,7 @@ from .pattern import (
     expansion_defects,
     validate_pattern,
 )
-from .search import ExhaustionCertificate, ShardRange, certificate_defects
+from .search import MODES, ExhaustionCertificate, ShardRange, certificate_defects
 
 WITNESS_MAGIC = "HBG 1"
 CERT_MAGIC = "HBG-CERT 1"
@@ -422,9 +422,12 @@ def serialize_resume(state: ResumeState) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RESUME_CHOICES = {"mode": MODES, "reduction": ("on", "off")}
+
+
 def parse_resume(text: str, source: str = "<string>") -> ResumeState:
     body = _split_lines(text, source, RESUME_MAGIC)
-    fields: dict[str, str] = {}
+    fields: dict[str, object] = {}
     pending: list[ShardRange] = []
     for lineno, line in body:
         key, _, value = line.partition(" ")
@@ -432,25 +435,30 @@ def parse_resume(text: str, source: str = "<string>") -> ResumeState:
             toks = value.split()
             if len(toks) != 2:
                 raise ParseError(source, lineno, "shard: expected '<lo> <hi>'")
-            lo, hi = int(toks[0]), int(toks[1])
+            lo, hi = (_int_field(source, lineno, key, tok) for tok in toks)
             if lo > hi or lo % 2 == 0 or hi % 2 == 0:
                 raise ParseError(source, lineno, f"shard {lo}..{hi}: bounds must be odd, lo <= hi")
             pending.append(ShardRange(lo, hi))
             continue
         if key in fields:
             raise ParseError(source, lineno, f"repeated key {key!r}")
-        if key not in ("g", "n", "b", "mode", "reduction", "node-budget"):
+        if key in ("g", "n", "b", "node-budget"):
+            fields[key] = _int_field(source, lineno, key, value)
+        elif key in _RESUME_CHOICES:
+            if value not in _RESUME_CHOICES[key]:
+                raise ParseError(source, lineno, f"{key}: expected one of "
+                                 f"{', '.join(_RESUME_CHOICES[key])}, got {value!r}")
+            fields[key] = value
+        else:
             raise ParseError(source, lineno, f"unknown key {key!r}")
-        fields[key] = value
     for key in ("g", "n", "b", "mode", "reduction"):
         if key not in fields:
             raise ParseError(source, len(body) + 1, f"missing key {key!r}")
     if not pending:
         raise ParseError(source, len(body) + 1, "no pending shard lines")
     return ResumeState(
-        g=int(fields["g"]), order=int(fields["n"]), b=int(fields["b"]),
-        mode=fields["mode"], reduction=fields["reduction"] == "on",
-        node_budget=int(fields["node-budget"]) if "node-budget" in fields else None,
+        g=fields["g"], order=fields["n"], b=fields["b"], mode=fields["mode"],
+        reduction=fields["reduction"] == "on", node_budget=fields.get("node-budget"),
         pending=tuple(pending),
     )
 

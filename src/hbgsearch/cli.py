@@ -258,10 +258,16 @@ def _run_resume(args) -> int:
         _eprint(f"error: {exc}")
         return EXIT_ERROR
     budget = args.node_budget if args.node_budget is not None else state.node_budget
-    spec = SearchSpec(g=state.g, b=state.b, orders=(state.order,), mode=state.mode,
-                      node_budget=budget, wall_budget_s=args.wall_budget,
-                      reduction=state.reduction)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.resume))
+    cert_path = _cert_path(out_dir, state.g, state.order, state.b)
+    try:
+        spec = SearchSpec(g=state.g, b=state.b, orders=(state.order,), mode=state.mode,
+                          node_budget=budget, wall_budget_s=args.wall_budget,
+                          reduction=state.reduction)
+        prior = parse_certificate_file(cert_path) if os.path.exists(cert_path) else None
+    except ValueError as exc:  # ParseError and PatternError included
+        _eprint(f"error: {exc}")
+        return EXIT_ERROR
     os.makedirs(out_dir, exist_ok=True)
     if not args.quiet:
         _eprint(f"resuming g={spec.g} n={state.order} b={spec.b}: "
@@ -270,19 +276,20 @@ def _run_resume(args) -> int:
     try:
         oc = enumerate_order(spec, state.order, ranges=list(state.pending),
                              progress=progress)
+        cert = oc.certificate
+        if prior is not None:
+            cert = merge_certificates([prior, cert])
     except ValueError as exc:
-        _eprint(f"error: {exc}")
+        # a stale resume file or a certificate of another search: keep both
+        _eprint(f"error: {exc}; {cert_path} left unchanged")
         return EXIT_ERROR
-    cert_path = _cert_path(out_dir, spec.g, state.order, spec.b)
-    if os.path.exists(cert_path):
-        try:
-            prior = parse_certificate_file(cert_path)
-            cert = merge_certificates([prior, oc.certificate])
-            oc = OrderOutcome(order=oc.order, status=outcome_status(oc.witnesses, cert),
-                              witnesses=oc.witnesses, certificate=cert,
-                              pending=oc.pending)
-        except (ParseError, ValueError) as exc:
-            _eprint(f"warning: could not merge prior certificate: {exc}")
+    if oc.pending and not oc.certificate.covered:
+        limit = (f"--node-budget {spec.node_budget}" if spec.node_budget is not None
+                 else f"--wall-budget {spec.wall_budget_s}")
+        _eprint(f"no progress: order {state.order} root {oc.pending[0].lo} "
+                f"needs more than {limit}")
+    oc = OrderOutcome(order=oc.order, status=outcome_status(oc.witnesses, cert),
+                      witnesses=oc.witnesses, certificate=cert, pending=oc.pending)
     _emit_outcome(spec, oc, out_dir, args.quiet)
     resume_path = _resume_path(out_dir, spec.g, state.order, spec.b)
     if oc.pending:

@@ -15,7 +15,6 @@ counters describe.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,6 @@ from .pattern import (
     OffsetPattern,
     PatternError,
     RangeError,
-    _divisors,
     canonical_form,
     expand,
     validate_pattern,
@@ -380,6 +378,18 @@ class _NodeBudget:
             self.remaining -= k
 
 
+def _scan_deadline(spec: SearchSpec, deadline: float | None) -> float | None:
+    """The caller's wall deadline, or else one derived from the spec's budget now."""
+    if deadline is None and spec.wall_budget_s is not None:
+        return time.perf_counter() + spec.wall_budget_s
+    return deadline
+
+
+def _out_of_work(budget: _NodeBudget, deadline: float | None) -> bool:
+    """True once the node budget is spent or the wall deadline has passed."""
+    return budget.exhausted() or (deadline is not None and time.perf_counter() > deadline)
+
+
 def _coalesce(ranges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     out: list[tuple[int, int]] = []
     for lo, hi in sorted(ranges):
@@ -452,8 +462,7 @@ def enumerate_order(
         last_hi = rng.hi
     if budget is None:
         budget = _NodeBudget(spec.node_budget)
-    if deadline is None and spec.wall_budget_s is not None:
-        deadline = time.perf_counter() + spec.wall_budget_s
+    deadline = _scan_deadline(spec, deadline)
     t0 = time.perf_counter()
 
     totals = {"expansions": 0, "conflicts": 0, "girth_rejects": 0,
@@ -462,17 +471,9 @@ def enumerate_order(
     pending: list[ShardRange] = []
     raw_leaves: list[tuple[int, ...]] = []
     halted = None  # None | "budget" | "witness"
-
     if spec.g > order:
         # the Hamiltonian cycle itself is shorter than g: nothing to search
-        cert = ExhaustionCertificate(
-            g=spec.g, order=order, b=spec.b, mode=spec.mode, reduction=spec.reduction,
-            root_lo=span_lo, root_hi=span_hi, covered=((span_lo, span_hi),),
-            status="complete", expansions=0, conflicts=0, girth_rejects=0,
-            sym_skips=0, nodes=0, leaves=0,
-            wall_time_s=time.perf_counter() - t0,
-        )
-        return OrderOutcome(order=order, status="exhausted", witnesses=(), certificate=cert)
+        covered, ranges = [(rng.lo, rng.hi) for rng in ranges], []
 
     kern = _Kernel(order, spec.b, spec.g, spec.reduction, _collect_mode(spec.mode))
     roots_total = sum(1 for d in roots for rng in ranges if rng.lo <= d <= rng.hi)
@@ -486,7 +487,7 @@ def enumerate_order(
         rng_roots = [d for d in roots if rng.lo <= d <= rng.hi]
         done_hi = None
         for root in rng_roots:
-            if budget.exhausted() or (deadline is not None and time.perf_counter() > deadline):
+            if _out_of_work(budget, deadline):
                 halted = "budget"
             else:
                 kern.run_root(root, budget.remaining)
@@ -623,8 +624,9 @@ def merge_order_outcomes(spec: SearchSpec, order: int,
 
 
 def _shard_worker(payload):
-    spec, order, rng, shard_budget = payload
-    return enumerate_order(spec, order, ranges=[rng], budget=_NodeBudget(shard_budget))
+    spec, order, rng, shard_budget, deadline = payload
+    return enumerate_order(spec, order, ranges=[rng], budget=_NodeBudget(shard_budget),
+                           deadline=deadline)
 
 
 def enumerate_order_sharded(
@@ -633,32 +635,31 @@ def enumerate_order_sharded(
     shards: int,
     processes: int | None = None,
     budget: _NodeBudget | None = None,
+    deadline: float | None = None,
+    progress=None,
 ) -> OrderOutcome:
     """Partitioned enumeration of one order, optionally on a process pool.
 
-    A node budget is split evenly across shards.  First-witness runs on a
-    pool let every shard halt at its own first witness; the merged winner is
-    the one from the lowest value range, which equals the serial answer.
+    In process this is one enumerate_order call over the partition.  On a
+    pool the node budget is split evenly across shards and every shard stops
+    at the same wall deadline; first-witness runs let every shard halt at
+    its own first witness, and the merged winner is the one from the lowest
+    value range, which equals the serial answer.  A spent budget or a passed
+    deadline skips the pool: the in-process call leaves every shard pending.
     """
     ranges = partition(spec, order, shards)
     if budget is None:
         budget = _NodeBudget(spec.node_budget)
-    if len(ranges) == 1 or not processes or processes <= 1:
-        parts = []
-        for idx, rng in enumerate(ranges):
-            part = enumerate_order(spec, order, ranges=[rng], budget=budget)
-            parts.append(part)
-            if part.certificate.status == "budget-exceeded":
-                parts.extend(_untouched_part(spec, order, later)
-                             for later in ranges[idx + 1:])
-                break
-            if part.certificate.status == "halted-witness":
-                break
-        return merge_order_outcomes(spec, order, parts)
+    deadline = _scan_deadline(spec, deadline)
+    if len(ranges) == 1 or not processes or processes <= 1 or _out_of_work(budget, deadline):
+        return enumerate_order(spec, order, ranges=ranges, budget=budget, deadline=deadline,
+                               progress=progress)
     per_shard = None
     if budget.remaining is not None:
         per_shard = max(1, budget.remaining // len(ranges))
-    payloads = [(spec, order, rng, per_shard) for rng in ranges]
+    # perf_counter is the system-wide monotonic clock (CLOCK_MONOTONIC on
+    # Linux), so pool workers can compare against this process's deadline
+    payloads = [(spec, order, rng, per_shard, deadline) for rng in ranges]
     with multiprocessing.Pool(processes) as pool:
         parts = pool.map(_shard_worker, payloads)
     merged = merge_order_outcomes(spec, order, parts)
@@ -666,148 +667,34 @@ def enumerate_order_sharded(
     return merged
 
 
-def _untouched_part(spec: SearchSpec, order: int, rng: ShardRange) -> OrderOutcome:
-    roots = root_values(order, spec.reduction)
-    cert = ExhaustionCertificate(
-        g=spec.g, order=order, b=spec.b, mode=spec.mode, reduction=spec.reduction,
-        root_lo=roots[0], root_hi=roots[-1], covered=(), status="budget-exceeded",
-        expansions=0, conflicts=0, girth_rejects=0, sym_skips=0, nodes=0, leaves=0,
-        wall_time_s=0.0,
-    )
-    return OrderOutcome(order=order, status="undecided", witnesses=(),
-                        certificate=cert, pending=(rng,))
-
-
 def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
               progress=None) -> SearchOutcome:
     """Scan the spec's orders ascending; stop at the first witness in first mode.
 
-    Budget and wall limits are shared across the whole scan; once breached,
-    the remaining orders are reported undecided with their full root span
-    pending.  Per-root progress callbacks fire only for in-process
-    (non-pooled) searches.
+    One node budget and one wall deadline are shared by the whole scan.
+    Once an order breaches either, the budget is marked spent, so every
+    later order is reported undecided with its full root span pending.
+    Per-root progress callbacks fire for in-process searches, sharded ones
+    included, but not for pooled shards.
     """
     if list(spec.orders) != sorted(set(spec.orders)):
         raise ValueError("orders must be strictly ascending")
     budget = _NodeBudget(spec.node_budget)
-    deadline = None
-    if spec.wall_budget_s is not None:
-        deadline = time.perf_counter() + spec.wall_budget_s
+    deadline = _scan_deadline(spec, None)
     outcomes: list[OrderOutcome] = []
     minimal = None
-    stopped = False
-    breached = False
     for order in spec.orders:
-        if stopped:
-            break
-        out_of_time = deadline is not None and time.perf_counter() > deadline
-        if breached or budget.exhausted() or out_of_time:
-            roots = root_values(order, spec.reduction)
-            outcomes.append(_untouched_part(spec, order,
-                                            ShardRange(roots[0], roots[-1])))
-            continue
-        if shards > 1:
-            oc = enumerate_order_sharded(spec, order, shards, processes, budget)
-        else:
-            oc = enumerate_order(spec, order, budget=budget, deadline=deadline,
-                                 progress=progress)
+        # an order the scan cannot start stays pending as one full-span range
+        order_shards = 1 if _out_of_work(budget, deadline) else shards
+        oc = enumerate_order_sharded(spec, order, order_shards, processes or 1, budget,
+                                     deadline, progress)
         outcomes.append(oc)
         if oc.certificate.status == "budget-exceeded":
             # the breaching subtree did not fit the remaining allowance;
             # later orders would re-breach immediately, so leave them pending
-            breached = True
+            budget.remaining = 0
         if oc.status == "witness" and minimal is None:
             minimal = order
             if spec.mode == "first-witness":
-                stopped = True
+                break
     return SearchOutcome(spec=spec, per_order=tuple(outcomes), minimal_order=minimal)
-
-
-def brute_force_survey(b: int, order: int, limit: int = 8_000_000):
-    """Every valid pattern of the given b and order with its exact oracle girth.
-
-    Enumerates all raw odd-offset sequences (no pruning, no symmetry), keeps
-    the ones that validate, and measures each survivor's girth on the
-    explicit expansion.  Raises when the raw space exceeds `limit`; spaces
-    grow as (m-2)^(2b) and are astronomically infeasible for large b, so
-    callers pick grids below the cap.
-    """
-    m = order // 2
-    if order % 2 or m % b:
-        raise DivisibilityError(f"order {order} incompatible with b={b}")
-    cand = candidate_values(order)
-    b2 = 2 * b
-    total = len(cand) ** b2
-    if total > limit:
-        raise ValueError(
-            f"raw space {len(cand)}^{b2} = {total} exceeds limit {limit}"
-        )
-    n = order
-    out = []
-    for seq in itertools.product(cand, repeat=b2):
-        ok = True
-        for j, d in enumerate(seq):
-            if seq[(j + d) % b2] != n - d:
-                ok = False
-                break
-        if not ok:
-            continue
-        p = validate_pattern(m, b, seq)
-        res = girth_oracle(expand(p), cap=order)
-        assert res.value is not None
-        out.append((p, res.value))
-    return out
-
-
-def brute_force_canonical_witnesses(
-    g: int, b: int, order: int, limit: int = 8_000_000,
-    survey=None,
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Raw witness count and sorted canonical witness set, without any pruning."""
-    if survey is None:
-        survey = brute_force_survey(b, order, limit)
-    keep = [p for (p, gv) in survey if gv >= g]
-    canon = sorted({canonical_form(p).offsets for p in keep})
-    return len(keep), canon
-
-
-def random_pattern(rng, max_m: int = 30, m: int | None = None,
-                   b: int | None = None) -> OffsetPattern:
-    """A uniformly-ish random valid pattern, for property tests."""
-    while True:
-        mm = m if m is not None else rng.randrange(3, max_m + 1)
-        bb = b if b is not None else rng.choice(_divisors(mm))
-        seq = _random_offsets(rng, mm, bb)
-        if seq is not None:
-            return validate_pattern(mm, bb, seq)
-
-
-def _random_offsets(rng, m: int, b: int) -> list[int] | None:
-    n = 2 * m
-    b2 = 2 * b
-    cand = candidate_values(n)
-    table = [-1] * b2
-
-    def go() -> bool:
-        j = -1
-        for k in range(b2):
-            if table[k] < 0:
-                j = k
-                break
-        if j < 0:
-            return True
-        order_try = cand[:]
-        rng.shuffle(order_try)
-        for d in order_try:
-            t = (j + d) % b2
-            if table[t] >= 0:
-                continue
-            table[j] = d
-            table[t] = n - d
-            if go():
-                return True
-            table[j] = -1
-            table[t] = -1
-        return False
-
-    return table if go() else None

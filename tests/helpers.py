@@ -1,0 +1,108 @@
+"""Test-only helpers: brute-force reference enumeration and random patterns.
+
+The brute-force survey is the unpruned reference the search kernel is
+tested against; random patterns feed the property tests.
+"""
+
+import itertools
+
+from hbgsearch.girth import girth_oracle
+from hbgsearch.pattern import (
+    DivisibilityError,
+    OffsetPattern,
+    _divisors,
+    canonical_form,
+    expand,
+    validate_pattern,
+)
+from hbgsearch.search import candidate_values
+
+
+def brute_force_survey(b: int, order: int, limit: int = 8_000_000):
+    """Every valid pattern of the given b and order with its exact oracle girth.
+
+    Enumerates all raw odd-offset sequences (no pruning, no symmetry), keeps
+    the ones that validate, and measures each survivor's girth on the
+    explicit expansion.  Raises when the raw space exceeds `limit`; spaces
+    grow as (m-2)^(2b) and are astronomically infeasible for large b, so
+    callers pick grids below the cap.
+    """
+    m = order // 2
+    if order % 2 or m % b:
+        raise DivisibilityError(f"order {order} incompatible with b={b}")
+    cand = candidate_values(order)
+    b2 = 2 * b
+    total = len(cand) ** b2
+    if total > limit:
+        raise ValueError(
+            f"raw space {len(cand)}^{b2} = {total} exceeds limit {limit}"
+        )
+    n = order
+    out = []
+    for seq in itertools.product(cand, repeat=b2):
+        ok = True
+        for j, d in enumerate(seq):
+            if seq[(j + d) % b2] != n - d:
+                ok = False
+                break
+        if not ok:
+            continue
+        p = validate_pattern(m, b, seq)
+        res = girth_oracle(expand(p), cap=order)
+        assert res.value is not None
+        out.append((p, res.value))
+    return out
+
+
+def brute_force_canonical_witnesses(
+    g: int, b: int, order: int, limit: int = 8_000_000,
+    survey=None,
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Raw witness count and sorted canonical witness set, without any pruning."""
+    if survey is None:
+        survey = brute_force_survey(b, order, limit)
+    keep = [p for (p, gv) in survey if gv >= g]
+    canon = sorted({canonical_form(p).offsets for p in keep})
+    return len(keep), canon
+
+
+def random_pattern(rng, max_m: int = 30, m: int | None = None,
+                   b: int | None = None) -> OffsetPattern:
+    """A uniformly-ish random valid pattern, for property tests."""
+    while True:
+        mm = m if m is not None else rng.randrange(3, max_m + 1)
+        bb = b if b is not None else rng.choice(_divisors(mm))
+        seq = _random_offsets(rng, mm, bb)
+        if seq is not None:
+            return validate_pattern(mm, bb, seq)
+
+
+def _random_offsets(rng, m: int, b: int) -> list[int] | None:
+    n = 2 * m
+    b2 = 2 * b
+    cand = candidate_values(n)
+    table = [-1] * b2
+
+    def go() -> bool:
+        j = -1
+        for k in range(b2):
+            if table[k] < 0:
+                j = k
+                break
+        if j < 0:
+            return True
+        order_try = cand[:]
+        rng.shuffle(order_try)
+        for d in order_try:
+            t = (j + d) % b2
+            if table[t] >= 0:
+                continue
+            table[j] = d
+            table[t] = n - d
+            if go():
+                return True
+            table[j] = -1
+            table[t] = -1
+        return False
+
+    return table if go() else None

@@ -14,8 +14,6 @@ import pytest
 from hbgsearch import (
     CatalogEntry,
     SearchSpec,
-    brute_force_canonical_witnesses,
-    brute_force_survey,
     derived_symmetry_factors,
     enumerate_order,
     enumerate_order_sharded,
@@ -25,12 +23,13 @@ from hbgsearch import (
     lower_bound_order,
     min_order,
     parse_witness,
-    random_pattern,
     serialize_witness,
     verify_witness,
 )
 from hbgsearch.cli import main
 from hbgsearch.search import candidate_values
+
+from helpers import brute_force_canonical_witnesses, brute_force_survey, random_pattern
 
 TABLE2_B3_ORDERS = list(range(258, 385, 6))
 BRUTE_SPACE_CAP = 8_000_000

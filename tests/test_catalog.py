@@ -219,6 +219,18 @@ class TestResumeFormat:
             parse_resume("HBG-RESUME 1\ng 14\nn 266\nb 7\nmode prove-nonexistence\n"
                          "reduction off\nshard 4 10\n")
 
+    @pytest.mark.parametrize("lineno, bad", [
+        (7, "shard 13 z"),
+        (6, "reduction maybe"),
+        (5, "mode fastest"),
+    ])
+    def test_malformed_line_names_file_and_line(self, lineno, bad):
+        lines = ["HBG-RESUME 1", "g 14", "n 266", "b 7", "mode prove-nonexistence",
+                 "reduction off", "shard 13 263"]
+        lines[lineno - 1] = bad
+        with pytest.raises(ParseError, match=f"^x.resume:{lineno}: "):
+            parse_resume("\n".join(lines) + "\n", source="x.resume")
+
 
 class TestBoundsTable:
     def test_resolved_row_from_search_results(self):

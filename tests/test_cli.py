@@ -236,3 +236,91 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "--cap" in proc.stdout
+
+
+def _snapshot(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+class TestResumeSafety:
+    def _breached_run(self, out_dir, capsys, budget="3000"):
+        code, *_ = run_cli("search", "--girth", "14", "--sym", "3",
+                           "--min", "258", "--max", "258", "--mode", "prove",
+                           "--node-budget", budget, "--out", str(out_dir),
+                           "--quiet", capsys=capsys)
+        assert code == 2
+        return out_dir / "g14_n258_b3.resume"
+
+    def test_stale_resume_file_is_refused_and_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        resume = self._breached_run(out_dir, capsys)
+        stale = tmp_path / "first.resume"
+        stale.write_bytes(resume.read_bytes())
+        code, *_ = run_cli("search", "--resume", str(resume), "--quiet", capsys=capsys)
+        assert code == 2
+        before = _snapshot(out_dir)
+        # the prior certificate already covers the stale file's first roots
+        code, out, err = run_cli("search", "--resume", str(stale), "--out", str(out_dir),
+                                 "--quiet", capsys=capsys)
+        assert code == 1
+        assert "overlap" in err and "Traceback" not in err
+        assert _snapshot(out_dir) == before
+
+    def test_unreadable_prior_certificate_is_kept(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        resume = self._breached_run(out_dir, capsys)
+        cert = out_dir / "g14_n258_b3.cert"
+        cert.write_text(cert.read_text().replace("expansions ", "expansions 1"))
+        before = _snapshot(out_dir)
+        code, out, err = run_cli("search", "--resume", str(resume), "--quiet",
+                                 capsys=capsys)
+        assert code == 1
+        assert f"{cert}:1:" in err
+        assert _snapshot(out_dir) == before
+
+    def test_certificate_of_another_search_is_kept(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        resume = self._breached_run(out_dir, capsys)
+        resume.write_text(resume.read_text().replace("prove-nonexistence", "count-only"))
+        before = _snapshot(out_dir)
+        code, out, err = run_cli("search", "--resume", str(resume), "--quiet",
+                                 capsys=capsys)
+        assert code == 1
+        assert "different searches" in err
+        assert _snapshot(out_dir) == before
+
+    def test_resume_without_progress_says_so(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        # roots 3..11 close short cycles at once; root 13 needs a deep search
+        resume = self._breached_run(out_dir, capsys, budget="5")
+        before = _snapshot(out_dir)
+        code, out, err = run_cli("search", "--resume", str(resume), "--quiet",
+                                 capsys=capsys)
+        assert code == 2
+        assert err.splitlines() == [
+            "no progress: order 258 root 13 needs more than --node-budget 5"]
+        assert _snapshot(out_dir) == before
+
+    def test_resume_with_progress_stays_quiet(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        resume = self._breached_run(out_dir, capsys)
+        code, out, err = run_cli("search", "--resume", str(resume), "--quiet",
+                                 capsys=capsys)
+        assert code == 2 and err == ""
+
+    @pytest.mark.parametrize("good, bad", [
+        ("shard 13 255", "shard 13 z"),
+        ("reduction off", "reduction maybe"),
+        ("mode prove-nonexistence", "mode fastest"),
+    ])
+    def test_malformed_resume_file_exits_1(self, tmp_path, capsys, good, bad):
+        out_dir = tmp_path / "out"
+        resume = self._breached_run(out_dir, capsys, budget="5")
+        text = resume.read_text()
+        lineno = text.splitlines().index(good) + 1
+        resume.write_text(text.replace(good, bad))
+        before = _snapshot(out_dir)
+        code, out, err = run_cli("search", "--resume", str(resume), capsys=capsys)
+        assert code == 1
+        assert f"{resume}:{lineno}:" in err and "Traceback" not in err
+        assert _snapshot(out_dir) == before

@@ -6,9 +6,10 @@ from hbgsearch import (
     girth_fast,
     girth_oracle,
     has_girth_at_least,
-    random_pattern,
 )
 from hbgsearch.search import assignment_prefix, partial_assignment
+
+from helpers import random_pattern
 
 
 class TestOracle:

@@ -13,7 +13,6 @@ from hbgsearch import (
     expand,
     expansion_defects,
     girth_fast,
-    random_pattern,
     validate_pattern,
 )
 from hbgsearch.pattern import (
@@ -22,6 +21,8 @@ from hbgsearch.pattern import (
     compose_transforms,
     minimal_position_period,
 )
+
+from helpers import random_pattern
 
 
 class TestValidate:

@@ -1,9 +1,11 @@
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from hbgsearch import (
     SearchSpec,
-    brute_force_canonical_witnesses,
-    brute_force_survey,
     canonical_form,
     enumerate_order,
     enumerate_order_sharded,
@@ -14,6 +16,7 @@ from hbgsearch import (
     partition,
     validate_pattern,
 )
+from hbgsearch import search
 from hbgsearch.search import (
     ShardRange,
     _NodeBudget,
@@ -22,6 +25,8 @@ from hbgsearch.search import (
     normalize_mode,
     root_values,
 )
+
+from helpers import brute_force_canonical_witnesses, brute_force_survey
 
 
 def spec_for(g, b, orders, mode="all", **kw):
@@ -288,3 +293,49 @@ class TestOutcomeSoundness:
         oc = enumerate_order(spec_for(6, 3, [30], mode="all"), 30)
         surplus = [w for w in oc.witnesses if w.measured_girth > 6]
         assert surplus and all(w.measured_girth == 8 for w in surplus)
+
+
+class TestScanDeadline:
+    def test_pooled_shards_stop_at_the_scan_deadline(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the injected clock reaches pool workers only by fork")
+        scan_pid = os.getpid()
+        real = time.perf_counter
+
+        class Clock:  # pool workers start an hour after the scan does
+            @staticmethod
+            def perf_counter():
+                return real() + (0 if os.getpid() == scan_pid else 3600)
+
+        monkeypatch.setattr(search, "time", Clock)
+        spec = spec_for(8, 3, [42], mode="prove", wall_budget_s=60)
+        oc = min_order(spec, shards=3, processes=2).per_order[0]
+        assert oc.certificate.status == "budget-exceeded"
+        assert oc.certificate.expansions == 0
+        assert oc.pending == tuple(partition(spec, 42, 3))
+
+    def test_passed_deadline_starts_no_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a pool was started after the deadline")
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", no_pool)
+        spec = spec_for(8, 3, [42], mode="prove")
+        oc = enumerate_order_sharded(spec, 42, 3, 2, deadline=time.perf_counter() - 1)
+        assert oc.certificate.expansions == 0
+        assert oc.pending == tuple(partition(spec, 42, 3))
+
+    def test_progress_fires_for_serial_shards(self):
+        seen = []
+        spec = spec_for(6, 1, [14], mode="prove")
+        min_order(spec, shards=2, progress=lambda *args: seen.append(args))
+        assert [s[1:3] for s in seen] == [(k, 5) for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("shards, processes", [(1, None), (2, None), (2, 2)])
+def test_orders_below_the_girth_need_no_search(shards, processes):
+    # a Hamiltonian cycle of 8 or 10 vertices already has girth below 12
+    spec = spec_for(12, 1, (8, 10), mode="prove")
+    out = min_order(spec, shards=shards, processes=processes)
+    assert [oc.status for oc in out.per_order] == ["exhausted", "exhausted"]
+    assert all(oc.certificate.covers_order() and oc.certificate.expansions == 0
+               for oc in out.per_order)
