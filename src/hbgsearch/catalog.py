@@ -1,7 +1,8 @@
 """Witness files, certificates, resume state, bound tables and verification.
 
 All on-disk formats are ASCII, line-oriented `key value` text with a magic
-header, so outputs are human-diffable and byte-deterministic.  The witness
+header, so outputs are human-diffable and byte-deterministic.  Each format is
+one `_Format` table, read by `_read` and written by `_write`.  The witness
 format is:
 
     HBG 1
@@ -12,13 +13,21 @@ format is:
     note <free text>          (optional)
 
 Offsets are least positive residues with 1-based vertex semantics: vertex i
-joins vertex i + offset (mod n).  Unknown keys are rejected.
+joins vertex i + offset (mod n).
+
+Reader contract, shared by every format and the lower-bound config: printable
+ASCII only, integers spelled `-?[0-9]+`, blank lines skipped, unknown and
+repeated keys rejected, and any malformed file a ParseError naming
+`file:line`, with lines counted at newline characters only.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
+from typing import Callable
 
 from .girth import girth_oracle
 from .pattern import (
@@ -31,11 +40,6 @@ from .pattern import (
 )
 from .search import MODES, ExhaustionCertificate, ShardRange, certificate_defects
 
-WITNESS_MAGIC = "HBG 1"
-CERT_MAGIC = "HBG-CERT 1"
-RESUME_MAGIC = "HBG-RESUME 1"
-CLAIMS_MAGIC = "HBG-CLAIMS 1"
-
 
 class ParseError(ValueError):
     """Malformed catalog file; message carries file and line context."""
@@ -45,6 +49,134 @@ class ParseError(ValueError):
         self.source = source
         self.lineno = lineno
 
+
+# --- the line format ------------------------------------------------------
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _int(value: str) -> int:
+    if not _INTEGER.fullmatch(value.strip()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _ints(count: int | None = None, tail: bool = False) -> Callable[[str], tuple]:
+    """Kind: `count` integers (any number when None), then free text if `tail`."""
+    def parse(value: str) -> tuple:
+        toks = value.split()
+        k = len(toks) if count is None else count
+        if len(toks) < k or (len(toks) > k and not tail):
+            raise ValueError(f"expected {k} integers, got {value!r}")
+        ints = tuple(_int(tok) for tok in toks[:k])
+        return ints + (" ".join(toks[k:]),) if tail else ints
+    return parse
+
+
+def _words(*allowed: str) -> Callable[[str], str]:
+    def parse(value: str) -> str:
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
+        return value
+    return parse
+
+
+def _odd_range(value: str) -> tuple[int, int]:
+    lo, hi = _ints(2)(value)
+    if lo > hi or lo % 2 == 0 or hi % 2 == 0:
+        raise ValueError(f"{lo}..{hi}: bounds must be odd, lo <= hi")
+    return lo, hi
+
+
+def _printable(line: str) -> bool:
+    return line.isascii() and line.isprintable()
+
+
+class _Format:
+    """One file format: magic header, then (key, kind, arity) in writer order.
+
+    A kind parses a value string or raises ValueError; `str` is free text.
+    Arity is "1" (exactly once), "?" (at most once), "+" (one or more) or
+    "*" (any number).  Keys of an `ordered` format must come in table order.
+    """
+
+    def __init__(self, magic: str, keys: tuple[tuple[str, Callable[[str], object], str], ...],
+                 ordered: bool = False):
+        self.magic, self.keys, self.ordered = magic, keys, ordered
+        self.table = {key: (index, kind, arity) for index, (key, kind, arity) in enumerate(keys)}
+
+
+def _lines(text: str, source: str) -> list[str]:
+    """Lines split at newlines only; any other control or non-ASCII character
+    is a ParseError at its line."""
+    lines = text.split("\n")
+    if not _printable(text.replace("\n", "")):
+        lineno, line = next((i, line) for i, line in enumerate(lines, 1) if not _printable(line))
+        bad = next(c for c in line if not _printable(c))
+        raise ParseError(source, lineno, f"character {bad!r} is not printable ASCII")
+    return lines
+
+
+def _read(fmt: _Format, text: str, source: str) -> dict[str, object]:
+    """Parsed values by key; keys of arity "+" or "*" map to lists."""
+    lines = _lines(text, source)
+    if lines[0].strip() != fmt.magic:
+        raise ParseError(source, 1, f"expected magic header {fmt.magic!r}")
+    fields: dict[str, object] = {}
+    last = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        key, _, value = line.partition(" ")
+        if key not in fmt.table:
+            raise ParseError(source, lineno, f"unknown key {key!r}")
+        index, kind, arity = fmt.table[key]
+        if key in fields and arity in ("1", "?"):
+            raise ParseError(source, lineno, f"repeated key {key!r}")
+        if fmt.ordered and index < last:
+            raise ParseError(source, lineno, f"key {key!r} out of order")
+        last = index
+        try:
+            parsed = kind(value)
+        except ValueError as exc:
+            raise ParseError(source, lineno, f"{key}: {exc}") from None
+        if arity in ("+", "*"):
+            fields.setdefault(key, []).append(parsed)
+        else:
+            fields[key] = parsed
+    for key, _, arity in fmt.keys:
+        if arity in ("1", "+") and key not in fields:
+            raise ParseError(source, len(lines), f"missing key {key!r}")
+    return fields
+
+
+def _write(fmt: _Format, fields: dict[str, object]) -> str:
+    """File text of `fields`: lists for keys of arity "+" or "*", None for an
+    absent optional key, tuples as space-separated values."""
+    lines = [fmt.magic]
+    for key, _, arity in fmt.keys:
+        values = fields[key] if arity in ("+", "*") else [fields[key]]
+        for value in values:
+            if value is None:
+                continue
+            text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            if not _printable(text):
+                raise ValueError(f"{key}: {text!r} is not one line of printable ASCII")
+            lines.append(f"{key} {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _read_file(path) -> str:
+    """File contents as text; a byte outside ASCII is a ParseError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), data.count(b"\n", 0, exc.start) + 1,
+                         f"byte 0x{data[exc.start]:02x} is not ASCII") from None
+
+
+# --- witness files --------------------------------------------------------
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -62,23 +194,10 @@ class CatalogEntry:
     measured_girth: int | None = None
 
 
-def _split_lines(text: str, source: str, magic: str) -> list[tuple[int, str]]:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != magic:
-        raise ParseError(source, 1, f"expected magic header {magic!r}")
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
-        if line.strip() == "":
-            continue
-        out.append((i, line.rstrip("\n")))
-    return out
-
-
-def _int_field(source: str, lineno: int, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(source, lineno, f"{key}: expected an integer, got {value!r}") from None
+_WITNESS = _Format("HBG 1", ordered=True, keys=(
+    ("g", _int, "1"), ("n", _int, "1"), ("b", _int, "1"),
+    ("offsets", _ints(), "1"), ("note", str, "?"),
+))
 
 
 def parse_witness(text: str, source: str = "<string>") -> CatalogEntry:
@@ -88,70 +207,29 @@ def parse_witness(text: str, source: str = "<string>") -> CatalogEntry:
     this only enforces the file grammar (key order, integer fields, offset
     count matching 2b) and normalizes offsets into (0, n).
     """
-    body = _split_lines(text, source, WITNESS_MAGIC)
-    expected = ["g", "n", "b", "offsets"]
-    fields: dict[str, object] = {}
-    note = None
-    for idx, (lineno, line) in enumerate(body):
-        key, _, value = line.partition(" ")
-        if idx < len(expected):
-            if key != expected[idx]:
-                raise ParseError(source, lineno,
-                                 f"expected key {expected[idx]!r}, got {key!r}")
-        elif key == "note" and "note" not in fields:
-            fields["note"] = True
-            note = value
-            continue
-        else:
-            raise ParseError(source, lineno, f"unknown or repeated key {key!r}")
-        if key == "offsets":
-            try:
-                offs = tuple(int(tok) for tok in value.split())
-            except ValueError:
-                raise ParseError(source, lineno, "offsets: expected integers") from None
-            fields["offsets"] = offs
-        else:
-            fields[key] = _int_field(source, lineno, key, value)
-    for key in expected:
-        if key not in fields:
-            raise ParseError(source, len(body) + 1, f"missing required key {key!r}")
-    g = fields["g"]
-    n = fields["n"]
-    b = fields["b"]
-    offs = fields["offsets"]
+    fields = _read(_WITNESS, text, source)
+    n, b, offs = fields["n"], fields["b"], fields["offsets"]
     if n < 6 or n % 2 != 0:
         raise ParseError(source, 1, f"n={n}: order must be an even integer >= 6")
     if b < 1:
         raise ParseError(source, 1, f"b={b}: symmetry factor must be positive")
     if len(offs) != 2 * b:
         raise ParseError(source, 1, f"expected {2 * b} offsets for b={b}, got {len(offs)}")
-    offs = tuple(d % n for d in offs)
-    return CatalogEntry(g=g, order=n, b=b, offsets=offs, note=note)
+    return CatalogEntry(g=fields["g"], order=n, b=b, offsets=tuple(d % n for d in offs),
+                        note=fields.get("note"))
 
 
 def serialize_witness(entry: CatalogEntry) -> str:
-    if entry.note is not None and ("\n" in entry.note or "\r" in entry.note):
-        raise ValueError("witness note must be a single line")
-    lines = [
-        WITNESS_MAGIC,
-        f"g {entry.g}",
-        f"n {entry.order}",
-        f"b {entry.b}",
-        "offsets " + " ".join(str(d) for d in entry.offsets),
-    ]
-    if entry.note is not None:
-        lines.append(f"note {entry.note}")
-    return "\n".join(lines) + "\n"
+    return _write(_WITNESS, {"g": entry.g, "n": entry.order, "b": entry.b,
+                             "offsets": tuple(entry.offsets), "note": entry.note})
 
 
 def parse_witness_file(path) -> CatalogEntry:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_witness(fh.read(), source=str(path))
+    return parse_witness(_read_file(path), source=str(path))
 
 
 def write_witness_file(path, entry: CatalogEntry) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_witness(entry))
+    Path(path).write_text(serialize_witness(entry), encoding="ascii")
 
 
 # --- lower bounds ---------------------------------------------------------
@@ -179,27 +257,27 @@ class LowerBoundConfig:
     @classmethod
     def from_text(cls, text: str, source: str = "<string>") -> "LowerBoundConfig":
         pairs = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for lineno, raw in enumerate(_lines(text, source), start=1):
+            line = raw.split("#", 1)[0]
+            if not line.strip():
                 continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise ParseError(source, lineno, "expected '<girth> <bound>'")
-            g = _int_field(source, lineno, "girth", toks[0])
-            val = _int_field(source, lineno, "bound", toks[1])
+            try:
+                g, val = _ints(2)(line)
+            except ValueError as exc:
+                raise ParseError(source, lineno, f"expected '<girth> <bound>': {exc}") from None
             if g % 2 != 0 or g < 4:
                 raise ParseError(source, lineno, f"girth {g} must be even and >= 4")
-            if val < moore_floor(g):
+            # the floor is at least 2^(g/2): a bound of at most g/2 bits is
+            # below it, and no floor of unbounded size is computed
+            if val.bit_length() <= g // 2 or val < moore_floor(g):
                 raise ParseError(source, lineno,
-                                 f"bound {val} below the counting floor {moore_floor(g)}")
+                                 f"bound {val} below the counting floor for girth {g}")
             pairs.append((g, val))
         return cls(overrides=tuple(pairs))
 
     @classmethod
     def from_file(cls, path) -> "LowerBoundConfig":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read(), source=str(path))
+        return cls.from_text(_read_file(path), source=str(path))
 
     @classmethod
     def default(cls) -> "LowerBoundConfig":
@@ -309,71 +387,47 @@ def verify_witness(entry: CatalogEntry) -> VerificationReport:
 
 # --- certificates ---------------------------------------------------------
 
+# the fields that name one search: certificates merge, and a resume file
+# resumes, only within one search
+_SEARCH_KEYS = (
+    ("g", _int, "1"), ("n", _int, "1"), ("b", _int, "1"),
+    ("mode", _words(*MODES), "1"), ("reduction", _words("on", "off"), "1"),
+)
+_COUNTERS = ("expansions", "conflicts", "girth-rejects", "sym-skips", "nodes", "leaves")
+_CERT = _Format("HBG-CERT 1", keys=_SEARCH_KEYS + (
+    ("positions", _int, "1"), ("pairs", _int, "1"), ("roots", _ints(2), "1"),
+    ("covered", _ints(2), "*"), ("status", str, "1"),
+    *((key, _int, "1") for key in _COUNTERS),
+    ("engine", str, "1"),
+))
+
+
+def _search_fields(run) -> dict[str, object]:
+    return {"g": run.g, "n": run.order, "b": run.b, "mode": run.mode,
+            "reduction": "on" if run.reduction else "off"}
+
+
 def serialize_certificate(cert: ExhaustionCertificate) -> str:
     """Canonical byte form of a certificate; wall time is deliberately omitted."""
-    lines = [
-        CERT_MAGIC,
-        f"g {cert.g}",
-        f"n {cert.order}",
-        f"b {cert.b}",
-        f"mode {cert.mode}",
-        f"reduction {'on' if cert.reduction else 'off'}",
-        f"positions {cert.positions}",
-        f"pairs {cert.free_pairs}",
-        f"roots {cert.root_lo} {cert.root_hi}",
-    ]
-    for lo, hi in cert.covered:
-        lines.append(f"covered {lo} {hi}")
-    lines += [
-        f"status {cert.status}",
-        f"expansions {cert.expansions}",
-        f"conflicts {cert.conflicts}",
-        f"girth-rejects {cert.girth_rejects}",
-        f"sym-skips {cert.sym_skips}",
-        f"nodes {cert.nodes}",
-        f"leaves {cert.leaves}",
-        f"engine {cert.engine}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _write(_CERT, {
+        **_search_fields(cert), "positions": cert.positions, "pairs": cert.free_pairs,
+        "roots": (cert.root_lo, cert.root_hi), "covered": list(cert.covered),
+        "status": cert.status, "engine": cert.engine,
+        **{key: getattr(cert, key.replace("-", "_")) for key in _COUNTERS},
+    })
 
 
 def parse_certificate(text: str, source: str = "<string>") -> ExhaustionCertificate:
-    body = _split_lines(text, source, CERT_MAGIC)
-    fields: dict[str, str] = {}
-    covered: list[tuple[int, int]] = []
-    for lineno, line in body:
-        key, _, value = line.partition(" ")
-        if key == "covered":
-            toks = value.split()
-            if len(toks) != 2:
-                raise ParseError(source, lineno, "covered: expected '<lo> <hi>'")
-            covered.append((int(toks[0]), int(toks[1])))
-            continue
-        if key in fields:
-            raise ParseError(source, lineno, f"repeated key {key!r}")
-        fields[key] = value
-    required = ["g", "n", "b", "mode", "reduction", "positions", "pairs", "roots",
-                "status", "expansions", "conflicts", "girth-rejects", "sym-skips",
-                "nodes", "leaves", "engine"]
-    for key in required:
-        if key not in fields:
-            raise ParseError(source, len(body) + 1, f"missing key {key!r}")
-    extra = set(fields) - set(required)
-    if extra:
-        raise ParseError(source, 1, f"unknown keys {sorted(extra)}")
-    roots = fields["roots"].split()
-    if len(roots) != 2:
-        raise ParseError(source, 1, "roots: expected '<lo> <hi>'")
+    fields = _read(_CERT, text, source)
     cert = ExhaustionCertificate(
-        g=int(fields["g"]), order=int(fields["n"]), b=int(fields["b"]),
-        mode=fields["mode"], reduction=fields["reduction"] == "on",
-        root_lo=int(roots[0]), root_hi=int(roots[1]), covered=tuple(covered),
-        status=fields["status"], expansions=int(fields["expansions"]),
-        conflicts=int(fields["conflicts"]), girth_rejects=int(fields["girth-rejects"]),
-        sym_skips=int(fields["sym-skips"]), nodes=int(fields["nodes"]),
-        leaves=int(fields["leaves"]), engine=fields["engine"],
+        g=fields["g"], order=fields["n"], b=fields["b"], mode=fields["mode"],
+        reduction=fields["reduction"] == "on",
+        root_lo=fields["roots"][0], root_hi=fields["roots"][1],
+        covered=tuple(fields.get("covered", ())), status=fields["status"],
+        engine=fields["engine"],
+        **{key.replace("-", "_"): fields[key] for key in _COUNTERS},
     )
-    if int(fields["positions"]) != cert.positions or int(fields["pairs"]) != cert.free_pairs:
+    if fields["positions"] != cert.positions or fields["pairs"] != cert.free_pairs:
         raise ParseError(source, 1, "positions/pairs lines inconsistent with b")
     defects = certificate_defects(cert)
     if defects:
@@ -382,13 +436,11 @@ def parse_certificate(text: str, source: str = "<string>") -> ExhaustionCertific
 
 
 def parse_certificate_file(path) -> ExhaustionCertificate:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_certificate(fh.read(), source=str(path))
+    return parse_certificate(_read_file(path), source=str(path))
 
 
 def write_certificate_file(path, cert: ExhaustionCertificate) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_certificate(cert))
+    Path(path).write_text(serialize_certificate(cert), encoding="ascii")
 
 
 # --- resume files ----------------------------------------------------------
@@ -406,71 +458,31 @@ class ResumeState:
     pending: tuple[ShardRange, ...]
 
 
+_RESUME = _Format("HBG-RESUME 1", keys=_SEARCH_KEYS + (
+    ("node-budget", _int, "?"), ("shard", _odd_range, "+"),
+))
+
+
 def serialize_resume(state: ResumeState) -> str:
-    lines = [
-        RESUME_MAGIC,
-        f"g {state.g}",
-        f"n {state.order}",
-        f"b {state.b}",
-        f"mode {state.mode}",
-        f"reduction {'on' if state.reduction else 'off'}",
-    ]
-    if state.node_budget is not None:
-        lines.append(f"node-budget {state.node_budget}")
-    for rng in state.pending:
-        lines.append(f"shard {rng.lo} {rng.hi}")
-    return "\n".join(lines) + "\n"
-
-
-_RESUME_CHOICES = {"mode": MODES, "reduction": ("on", "off")}
+    return _write(_RESUME, {**_search_fields(state), "node-budget": state.node_budget,
+                            "shard": [(rng.lo, rng.hi) for rng in state.pending]})
 
 
 def parse_resume(text: str, source: str = "<string>") -> ResumeState:
-    body = _split_lines(text, source, RESUME_MAGIC)
-    fields: dict[str, object] = {}
-    pending: list[ShardRange] = []
-    for lineno, line in body:
-        key, _, value = line.partition(" ")
-        if key == "shard":
-            toks = value.split()
-            if len(toks) != 2:
-                raise ParseError(source, lineno, "shard: expected '<lo> <hi>'")
-            lo, hi = (_int_field(source, lineno, key, tok) for tok in toks)
-            if lo > hi or lo % 2 == 0 or hi % 2 == 0:
-                raise ParseError(source, lineno, f"shard {lo}..{hi}: bounds must be odd, lo <= hi")
-            pending.append(ShardRange(lo, hi))
-            continue
-        if key in fields:
-            raise ParseError(source, lineno, f"repeated key {key!r}")
-        if key in ("g", "n", "b", "node-budget"):
-            fields[key] = _int_field(source, lineno, key, value)
-        elif key in _RESUME_CHOICES:
-            if value not in _RESUME_CHOICES[key]:
-                raise ParseError(source, lineno, f"{key}: expected one of "
-                                 f"{', '.join(_RESUME_CHOICES[key])}, got {value!r}")
-            fields[key] = value
-        else:
-            raise ParseError(source, lineno, f"unknown key {key!r}")
-    for key in ("g", "n", "b", "mode", "reduction"):
-        if key not in fields:
-            raise ParseError(source, len(body) + 1, f"missing key {key!r}")
-    if not pending:
-        raise ParseError(source, len(body) + 1, "no pending shard lines")
+    fields = _read(_RESUME, text, source)
     return ResumeState(
         g=fields["g"], order=fields["n"], b=fields["b"], mode=fields["mode"],
         reduction=fields["reduction"] == "on", node_budget=fields.get("node-budget"),
-        pending=tuple(pending),
+        pending=tuple(ShardRange(lo, hi) for lo, hi in fields["shard"]),
     )
 
 
 def parse_resume_file(path) -> ResumeState:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_resume(fh.read(), source=str(path))
+    return parse_resume(_read_file(path), source=str(path))
 
 
 def write_resume_file(path, state: ResumeState) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_resume(state))
+    Path(path).write_text(serialize_resume(state), encoding="ascii")
 
 
 # --- bound tables and non-existence reports --------------------------------
@@ -608,43 +620,29 @@ def format_non_existence(g: int, report: dict[int, list[int]], fmt: str = "text"
 
 # --- claims files (unverified literature data for tables) ------------------
 
+_CLAIMS = _Format("HBG-CLAIMS 1", keys=(
+    ("g", _int, "1"), ("exhausted", _ints(2), "*"), ("upper", _ints(2, tail=True), "*"),
+))
+
+
 def parse_claims(text: str, source: str = "<string>") -> tuple[int, dict[int, BoundsInput]]:
     """Unverified per-b claims: `exhausted <b> <order>` and `upper <b> <order> [tag]`."""
-    body = _split_lines(text, source, CLAIMS_MAGIC)
-    g = None
+    fields = _read(_CLAIMS, text, source)
     exhausted: dict[int, set[int]] = {}
     uppers: dict[int, list[tuple[int, bool, str]]] = {}
-    for lineno, line in body:
-        key, _, value = line.partition(" ")
-        if key == "g":
-            if g is not None:
-                raise ParseError(source, lineno, "repeated key 'g'")
-            g = _int_field(source, lineno, "g", value)
-        elif key == "exhausted":
-            toks = value.split()
-            if len(toks) != 2:
-                raise ParseError(source, lineno, "exhausted: expected '<b> <order>'")
-            exhausted.setdefault(int(toks[0]), set()).add(int(toks[1]))
-        elif key == "upper":
-            toks = value.split()
-            if len(toks) < 2:
-                raise ParseError(source, lineno, "upper: expected '<b> <order> [tag]'")
-            b = int(toks[0])
-            uppers.setdefault(b, []).append((int(toks[1]), False, " ".join(toks[2:])))
-        else:
-            raise ParseError(source, lineno, f"unknown key {key!r}")
-    if g is None:
-        raise ParseError(source, len(body) + 1, "missing key 'g'")
+    for b, order in fields.get("exhausted", ()):
+        exhausted.setdefault(b, set()).add(order)
+    for b, order, tag in fields.get("upper", ()):
+        uppers.setdefault(b, []).append((order, False, tag))
     out: dict[int, BoundsInput] = {}
     for b in set(exhausted) | set(uppers):
         out[b] = BoundsInput(exhausted=frozenset(exhausted.get(b, ())),
                              uppers=tuple(uppers.get(b, ())))
-    return g, out
+    return fields["g"], out
 
 
 def parse_claims_file(path) -> tuple[int, dict[int, BoundsInput]]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_claims(fh.read(), source=str(path))
+    return parse_claims(_read_file(path), source=str(path))
 
 
 def merge_bounds_inputs(a: BoundsInput, b: BoundsInput) -> BoundsInput:

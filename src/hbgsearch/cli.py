@@ -46,6 +46,7 @@ from .search import (
     merge_certificates,
     min_order,
     normalize_mode,
+    root_values,
 )
 
 EXIT_OK = 0
@@ -137,13 +138,16 @@ def _build_parser() -> _Parser:
 
 def _parse_sym_list(text: str) -> list[int]:
     out: list[int] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if "-" in tok:
-            lo, hi = tok.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif tok:
-            out.append(int(tok))
+    try:
+        for tok in text.split(","):
+            tok = tok.strip()
+            if "-" in tok:
+                lo, hi = tok.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            elif tok:
+                out.append(int(tok))
+    except ValueError:
+        raise _UsageError(f"--sym: expected e.g. '3-16' or '1,2,3', got {text!r}") from None
     return sorted(set(out))
 
 
@@ -252,11 +256,7 @@ def cmd_search(args) -> int:
 
 
 def _run_resume(args) -> int:
-    try:
-        state = parse_resume_file(args.resume)
-    except (OSError, ParseError) as exc:
-        _eprint(f"error: {exc}")
-        return EXIT_ERROR
+    state = parse_resume_file(args.resume)
     budget = args.node_budget if args.node_budget is not None else state.node_budget
     out_dir = args.out or os.path.dirname(os.path.abspath(args.resume))
     cert_path = _cert_path(out_dir, state.g, state.order, state.b)
@@ -265,8 +265,18 @@ def _run_resume(args) -> int:
                           node_budget=budget, wall_budget_s=args.wall_budget,
                           reduction=state.reduction)
         prior = parse_certificate_file(cert_path) if os.path.exists(cert_path) else None
-    except ValueError as exc:  # ParseError and PatternError included
-        _eprint(f"error: {exc}")
+        if prior is not None:
+            # refuse a stale resume file or a certificate of another search
+            # before enumerating: merge the prior with an empty run of the
+            # pending ranges
+            roots = root_values(state.order, state.reduction)
+            merge_certificates([prior, ExhaustionCertificate(
+                g=state.g, order=state.order, b=state.b, mode=state.mode,
+                reduction=state.reduction, root_lo=roots[0], root_hi=roots[-1],
+                covered=tuple((rng.lo, rng.hi) for rng in state.pending), status="complete",
+                expansions=0, conflicts=0, girth_rejects=0, sym_skips=0, nodes=0, leaves=0)])
+    except ValueError as exc:  # ParseError, PatternError and a refused merge
+        _eprint(f"error: {exc}; {cert_path} left unchanged")
         return EXIT_ERROR
     os.makedirs(out_dir, exist_ok=True)
     if not args.quiet:
@@ -276,13 +286,10 @@ def _run_resume(args) -> int:
     try:
         oc = enumerate_order(spec, state.order, ranges=list(state.pending),
                              progress=progress)
-        cert = oc.certificate
-        if prior is not None:
-            cert = merge_certificates([prior, cert])
-    except ValueError as exc:
-        # a stale resume file or a certificate of another search: keep both
+    except ValueError as exc:  # pending ranges outside the root span
         _eprint(f"error: {exc}; {cert_path} left unchanged")
         return EXIT_ERROR
+    cert = oc.certificate if prior is None else merge_certificates([prior, oc.certificate])
     if oc.pending and not oc.certificate.covered:
         limit = (f"--node-budget {spec.node_budget}" if spec.node_budget is not None
                  else f"--wall-budget {spec.wall_budget_s}")
@@ -323,10 +330,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_girth(args) -> int:
+    entry = parse_witness_file(args.file)
     try:
-        entry = parse_witness_file(args.file)
         pattern = validate_pattern(entry.order // 2, entry.b, entry.offsets)
-    except (OSError, ParseError, PatternError) as exc:
+    except PatternError as exc:
         _eprint(f"error: {exc}")
         return EXIT_ERROR
     cap = args.cap if args.cap is not None else entry.order
@@ -339,10 +346,10 @@ def cmd_girth(args) -> int:
 
 
 def cmd_canon(args) -> int:
+    entry = parse_witness_file(args.file)
     try:
-        entry = parse_witness_file(args.file)
         pattern = validate_pattern(entry.order // 2, entry.b, entry.offsets)
-    except (OSError, ParseError, PatternError) as exc:
+    except PatternError as exc:
         _eprint(f"error: {exc}")
         return EXIT_ERROR
     canon = canonical_form(pattern)
@@ -406,11 +413,7 @@ def cmd_table(args) -> int:
     for msg in skipped:
         _eprint(f"note: skipped {msg}")
     if args.claims:
-        try:
-            claims_g, claims = parse_claims_file(args.claims)
-        except (OSError, ParseError) as exc:
-            _eprint(f"error: {exc}")
-            return EXIT_ERROR
+        claims_g, claims = parse_claims_file(args.claims)
         if claims_g != args.girth:
             _eprint(f"error: claims file is for g={claims_g}, table is for g={args.girth}")
             return EXIT_ERROR
@@ -449,11 +452,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        entry = parse_witness_file(args.file)
-    except (OSError, ParseError) as exc:
-        _eprint(f"error: {exc}")
-        return EXIT_ERROR
+    entry = parse_witness_file(args.file)
     style = render_mod.RenderStyle(radius=args.radius, vertex_radius=args.vertex_radius,
                                    labels=args.labels)
     try:
@@ -481,7 +480,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _eprint(f"usage error: {exc}")
         return EXIT_ERROR
-    except OSError as exc:
+    except (OSError, ParseError) as exc:  # unreadable or malformed input file
         _eprint(f"error: {exc}")
         return EXIT_ERROR
 

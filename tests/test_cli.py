@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hbgsearch import cli
 from hbgsearch.cli import main
 
 
@@ -242,6 +243,10 @@ def _snapshot(directory):
     return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
 
 
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("enumerate_order called")
+
+
 class TestResumeSafety:
     def _breached_run(self, out_dir, capsys, budget="3000"):
         code, *_ = run_cli("search", "--girth", "14", "--sym", "3",
@@ -251,7 +256,8 @@ class TestResumeSafety:
         assert code == 2
         return out_dir / "g14_n258_b3.resume"
 
-    def test_stale_resume_file_is_refused_and_writes_nothing(self, tmp_path, capsys):
+    def test_stale_resume_file_is_refused_and_writes_nothing(self, tmp_path, capsys,
+                                                             monkeypatch):
         out_dir = tmp_path / "out"
         resume = self._breached_run(out_dir, capsys)
         stale = tmp_path / "first.resume"
@@ -259,6 +265,8 @@ class TestResumeSafety:
         code, *_ = run_cli("search", "--resume", str(resume), "--quiet", capsys=capsys)
         assert code == 2
         before = _snapshot(out_dir)
+        # refused before any enumeration runs
+        monkeypatch.setattr(cli, "enumerate_order", _no_enumeration)
         # the prior certificate already covers the stale file's first roots
         code, out, err = run_cli("search", "--resume", str(stale), "--out", str(out_dir),
                                  "--quiet", capsys=capsys)
@@ -278,11 +286,12 @@ class TestResumeSafety:
         assert f"{cert}:1:" in err
         assert _snapshot(out_dir) == before
 
-    def test_certificate_of_another_search_is_kept(self, tmp_path, capsys):
+    def test_certificate_of_another_search_is_kept(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "out"
         resume = self._breached_run(out_dir, capsys)
         resume.write_text(resume.read_text().replace("prove-nonexistence", "count-only"))
         before = _snapshot(out_dir)
+        monkeypatch.setattr(cli, "enumerate_order", _no_enumeration)
         code, out, err = run_cli("search", "--resume", str(resume), "--quiet",
                                  capsys=capsys)
         assert code == 1

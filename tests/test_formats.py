@@ -1,0 +1,219 @@
+"""Strict reading of the four file formats and the lower-bound config.
+
+Every malformed input must raise ParseError naming file and line; nothing
+else may escape a reader, and no command may end in a traceback.  The
+mutation tests use a seeded stdlib `random`, so every run sees the same
+inputs.
+"""
+
+import random
+
+import pytest
+
+from hbgsearch import CatalogEntry, LowerBoundConfig, ParseError, SearchSpec, enumerate_order
+from hbgsearch.catalog import (
+    ResumeState,
+    parse_certificate,
+    parse_certificate_file,
+    parse_claims,
+    parse_claims_file,
+    parse_resume,
+    parse_resume_file,
+    parse_witness,
+    parse_witness_file,
+    serialize_certificate,
+    serialize_resume,
+    serialize_witness,
+)
+from hbgsearch.cli import main
+from hbgsearch.search import ShardRange
+
+WITNESS = serialize_witness(CatalogEntry(g=6, order=14, b=1, offsets=(5, 9),
+                                         note="found by search, measured girth 6"))
+CERT = serialize_certificate(
+    enumerate_order(SearchSpec(g=6, b=1, orders=(14,), mode="all"), 14).certificate)
+RESUME = serialize_resume(ResumeState(
+    g=14, order=266, b=7, mode="prove-nonexistence", reduction=False, node_budget=200000,
+    pending=(ShardRange(13, 131), ShardRange(175, 263))))
+CLAIMS = "HBG-CLAIMS 1\ng 14\nexhausted 4 264\nexhausted 4 272\nupper 4 440 catalog fig\n"
+
+FORMATS = {
+    "witness": (WITNESS, parse_witness, parse_witness_file, serialize_witness),
+    "cert": (CERT, parse_certificate, parse_certificate_file, serialize_certificate),
+    "resume": (RESUME, parse_resume, parse_resume_file, serialize_resume),
+    "claims": (CLAIMS, parse_claims, parse_claims_file, None),
+}
+
+# replacement tokens: int() spellings the grammar refuses, control and
+# non-ASCII bytes, words near the allowed ones, an integer too long to convert
+TOKENS = [b"x", b"-1", b"0", b"1_4", b"+6", b" 7", b"\xc3\xa9", b"\t", b"\r", b"", b"-",
+          b"3 x", b"\x00", b"\x0c", b"on", b"maybe", b"prove", b"9" * 5000]
+
+
+def mutate(rng: random.Random, data: bytes) -> bytes:
+    """One to three line or byte edits."""
+    lines = data.split(b"\n")
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(6)
+        i = rng.randrange(len(lines))
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            toks = lines[i].split(b" ")
+            toks[rng.randrange(len(toks))] = rng.choice(TOKENS)
+            lines[i] = b" ".join(toks)
+        else:
+            flat = bytearray(b"\n".join(lines))
+            pos = rng.randrange(len(flat) + 1)
+            if op == 4 and pos < len(flat):
+                flat[pos] = rng.randrange(256)
+            else:
+                flat[pos:pos] = bytes([rng.randrange(256)])
+            lines = bytes(flat).split(b"\n")
+    return b"\n".join(lines)
+
+
+def outcome(read):
+    try:
+        return read()
+    except ParseError:
+        return ParseError
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_mutated_file_parses_or_raises_parse_error(name, tmp_path):
+    valid, parse, parse_file, serialize = FORMATS[name]
+    rng = random.Random(sorted(FORMATS).index(name) + 1)
+    path = tmp_path / f"mutant.{name}"
+    refused = 0
+    for _ in range(300):
+        data = mutate(rng, valid.encode("ascii"))
+        path.write_bytes(data)
+        from_text = outcome(lambda: parse(data.decode("latin-1"), source=str(path)))
+        from_file = outcome(lambda: parse_file(path))
+        assert from_text == from_file, data
+        if from_text is ParseError:
+            refused += 1
+        elif serialize is not None:
+            assert parse(serialize(from_text)) == from_text, data
+    assert 0 < refused < 300
+
+
+CERT_LINES = CERT.splitlines()
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("covered", "covered 3 x"),
+    ("g", "g x"),
+    ("roots", "roots 3 x"),
+    ("positions", "positions x"),
+    ("reduction", "reduction maybe"),
+    ("mode", "mode bogus"),
+    ("mode", "mode all"),
+    ("g", "g 1_4"),
+    ("n", "n +14"),
+    ("nodes", "nodes １"),
+])
+def test_certificate_field_is_refused_at_its_line(key, bad):
+    lineno = next(i for i, line in enumerate(CERT_LINES, 1) if line.startswith(key + " "))
+    lines = list(CERT_LINES)
+    lines[lineno - 1] = bad
+    with pytest.raises(ParseError, match=f"^c.cert:{lineno}: "):
+        parse_certificate("\n".join(lines) + "\n", source="c.cert")
+
+
+@pytest.mark.parametrize("lineno, bad", [
+    (2, "g 1_4"),
+    (3, "exhausted x 264"),
+    (5, "upper 4 y"),
+])
+def test_claims_line_is_refused_at_its_line(lineno, bad):
+    lines = CLAIMS.splitlines()
+    lines[lineno - 1] = bad
+    with pytest.raises(ParseError, match=f"^claims:{lineno}: "):
+        parse_claims("\n".join(lines) + "\n", source="claims")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("HBG 1\ng +6\nn 14\nb 1\noffsets 5 9\n", 2),
+    ("HBG 1\ng 6\nn 14\nb 1\noffsets 5 9\nnote café\n", 6),
+    ("HBG 1\r\ng 6\nn 14\nb 1\noffsets 5 9\n", 1),
+    ("HBG 1\ng 6\nn 14\nb 1\noffsets 5\x0b9\n", 5),
+])
+def test_witness_line_is_refused_at_its_line(text, lineno, tmp_path):
+    with pytest.raises(ParseError, match=f"^w.hbg:{lineno}: "):
+        parse_witness(text, source="w.hbg")
+    path = tmp_path / "w.hbg"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError, match=f"^{path}:{lineno}: "):
+        parse_witness_file(path)
+
+
+def test_resume_integer_spelling_is_refused():
+    with pytest.raises(ParseError, match="^r:3: "):
+        parse_resume(RESUME.replace("n 266", "n 2_66"), source="r")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("# bounds\n14 25_8\n", 2),
+    ("# café\n14 258\n", 1),
+    ("14 258 3\n", 1),
+    ("100000000 5\n", 1),
+])
+def test_config_line_is_refused_at_its_line(text, lineno, tmp_path):
+    path = tmp_path / "bounds.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError, match=f"^{path}:{lineno}: "):
+        LowerBoundConfig.from_file(path)
+
+
+def test_writer_refuses_what_the_reader_refuses():
+    with pytest.raises(ValueError):
+        serialize_witness(CatalogEntry(g=6, order=14, b=1, offsets=(5, 9), note="café"))
+
+
+UTF8_WITNESS = WITNESS.replace("found by search", "trouvé").encode("utf-8")
+BAD_CERT = CERT.replace("roots 3 11", "roots 3 x").encode("ascii")
+BAD_RESUME = RESUME.replace("shard 13 131", "shard 13 1_31").encode("ascii")
+BAD_CLAIMS = CLAIMS.replace("upper 4 440", "upper 4 y").encode("ascii")
+BAD_CONFIG = b"# bounds\n6 1_4\n"
+
+
+@pytest.mark.parametrize("argv, files, bad, lineno, code", [
+    (["verify", "{w}"], {"w": UTF8_WITNESS}, "w", 6, 1),
+    (["render", "{w}", "--out", "{d}/w.svg"], {"w": UTF8_WITNESS}, "w", 6, 1),
+    (["girth", "{w}"], {"w": UTF8_WITNESS}, "w", 6, 1),
+    (["canon", "{w}"], {"w": UTF8_WITNESS}, "w", 6, 1),
+    (["table", "--girth", "6", "--dir", "{d}", "--claims", "{c}"], {"c": BAD_CLAIMS}, "c", 5, 1),
+    (["table", "--girth", "6", "--dir", "{d}", "--sym", "1", "--config", "{f}"],
+     {"f": BAD_CONFIG}, "f", 2, 1),
+    (["search", "--resume", "{r}"], {"r": BAD_RESUME}, "r", 8, 1),
+    (["search", "--girth", "6", "--sym", "1", "--min", "6", "--max", "6",
+      "--config", "{f}"], {"f": BAD_CONFIG}, "f", 2, 1),
+    # a directory scan skips an unreadable file with a note and goes on
+    (["report", "--girth", "6", "--dir", "{d}"], {"x.cert": BAD_CERT}, "x.cert", 9, 0),
+    (["table", "--girth", "6", "--dir", "{d}", "--sym", "1"], {"x.hbg": UTF8_WITNESS},
+     "x.hbg", 6, 0),
+], ids=["verify", "render", "girth", "canon", "table-claims", "table-config",
+        "search-resume", "search-config", "report-dir", "table-dir"])
+def test_command_on_malformed_file_names_file_and_line(argv, files, bad, lineno, code,
+                                                       tmp_path, capsys):
+    paths = {key: tmp_path / key for key in files}
+    for key, data in files.items():
+        paths[key].write_bytes(data)
+    names = {key: str(path) for key, path in paths.items()}
+    assert main([a.format(d=tmp_path, **names) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert f"{paths[bad]}:{lineno}: " in out + err and "Traceback" not in err
+    assert {key: path.read_bytes() for key, path in paths.items()} == files
+
+
+@pytest.mark.parametrize("command, sym", [("table", "abc"), ("report", "1-x")])
+def test_bad_sym_list_is_a_usage_error(command, sym, tmp_path, capsys):
+    assert main([command, "--girth", "6", "--dir", str(tmp_path), "--sym", sym]) == 1
+    assert "usage error: --sym" in capsys.readouterr().err
