@@ -117,12 +117,17 @@ def _lines(text: str, source: str) -> list[str]:
     return lines
 
 
-def _read(fmt: _Format, text: str, source: str) -> dict[str, object]:
-    """Parsed values by key; keys of arity "+" or "*" map to lists."""
+def _read(fmt: _Format, text: str, source: str) -> tuple[dict[str, object], dict[str, int]]:
+    """Parsed values by key, and the line of each key's first occurrence.
+
+    Keys of arity "+" or "*" map to lists.  The line numbers let checks that
+    span a whole record cite the line of the field they refuse.
+    """
     lines = _lines(text, source)
     if lines[0].strip() != fmt.magic:
         raise ParseError(source, 1, f"expected magic header {fmt.magic!r}")
     fields: dict[str, object] = {}
+    linenos: dict[str, int] = {}
     last = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -140,6 +145,7 @@ def _read(fmt: _Format, text: str, source: str) -> dict[str, object]:
             parsed = kind(value)
         except ValueError as exc:
             raise ParseError(source, lineno, f"{key}: {exc}") from None
+        linenos.setdefault(key, lineno)
         if arity in ("+", "*"):
             fields.setdefault(key, []).append(parsed)
         else:
@@ -147,7 +153,7 @@ def _read(fmt: _Format, text: str, source: str) -> dict[str, object]:
     for key, _, arity in fmt.keys:
         if arity in ("1", "+") and key not in fields:
             raise ParseError(source, len(lines), f"missing key {key!r}")
-    return fields
+    return fields, linenos
 
 
 def _write(fmt: _Format, fields: dict[str, object]) -> str:
@@ -207,14 +213,15 @@ def parse_witness(text: str, source: str = "<string>") -> CatalogEntry:
     this only enforces the file grammar (key order, integer fields, offset
     count matching 2b) and normalizes offsets into (0, n).
     """
-    fields = _read(_WITNESS, text, source)
+    fields, line = _read(_WITNESS, text, source)
     n, b, offs = fields["n"], fields["b"], fields["offsets"]
     if n < 6 or n % 2 != 0:
-        raise ParseError(source, 1, f"n={n}: order must be an even integer >= 6")
+        raise ParseError(source, line["n"], f"n={n}: order must be an even integer >= 6")
     if b < 1:
-        raise ParseError(source, 1, f"b={b}: symmetry factor must be positive")
+        raise ParseError(source, line["b"], f"b={b}: symmetry factor must be positive")
     if len(offs) != 2 * b:
-        raise ParseError(source, 1, f"expected {2 * b} offsets for b={b}, got {len(offs)}")
+        raise ParseError(source, line["offsets"],
+                         f"expected {2 * b} offsets for b={b}, got {len(offs)}")
     return CatalogEntry(g=fields["g"], order=n, b=b, offsets=tuple(d % n for d in offs),
                         note=fields.get("note"))
 
@@ -418,7 +425,7 @@ def serialize_certificate(cert: ExhaustionCertificate) -> str:
 
 
 def parse_certificate(text: str, source: str = "<string>") -> ExhaustionCertificate:
-    fields = _read(_CERT, text, source)
+    fields, line = _read(_CERT, text, source)
     cert = ExhaustionCertificate(
         g=fields["g"], order=fields["n"], b=fields["b"], mode=fields["mode"],
         reduction=fields["reduction"] == "on",
@@ -428,10 +435,12 @@ def parse_certificate(text: str, source: str = "<string>") -> ExhaustionCertific
         **{key.replace("-", "_"): fields[key] for key in _COUNTERS},
     )
     if fields["positions"] != cert.positions or fields["pairs"] != cert.free_pairs:
-        raise ParseError(source, 1, "positions/pairs lines inconsistent with b")
+        key = "positions" if fields["positions"] != cert.positions else "pairs"
+        raise ParseError(source, line[key], "positions/pairs lines inconsistent with b")
     defects = certificate_defects(cert)
     if defects:
-        raise ParseError(source, 1, "inconsistent certificate: " + "; ".join(defects))
+        raise ParseError(source, line[_COUNTERS[0]],
+                         "inconsistent certificate: " + "; ".join(defects))
     return cert
 
 
@@ -469,7 +478,7 @@ def serialize_resume(state: ResumeState) -> str:
 
 
 def parse_resume(text: str, source: str = "<string>") -> ResumeState:
-    fields = _read(_RESUME, text, source)
+    fields, _ = _read(_RESUME, text, source)
     return ResumeState(
         g=fields["g"], order=fields["n"], b=fields["b"], mode=fields["mode"],
         reduction=fields["reduction"] == "on", node_budget=fields.get("node-budget"),
@@ -627,7 +636,7 @@ _CLAIMS = _Format("HBG-CLAIMS 1", keys=(
 
 def parse_claims(text: str, source: str = "<string>") -> tuple[int, dict[int, BoundsInput]]:
     """Unverified per-b claims: `exhausted <b> <order>` and `upper <b> <order> [tag]`."""
-    fields = _read(_CLAIMS, text, source)
+    fields, _ = _read(_CLAIMS, text, source)
     exhausted: dict[int, set[int]] = {}
     uppers: dict[int, list[tuple[int, bool, str]]] = {}
     for b, order in fields.get("exhausted", ()):

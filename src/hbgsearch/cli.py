@@ -365,18 +365,19 @@ def cmd_canon(args) -> int:
 # --- table / report ----------------------------------------------------------
 
 def _scan_directory(dir_path: str, g: int):
-    """Collect exhaustion evidence and verified witnesses from a run directory."""
+    """Collect exhaustion evidence and verified witnesses from a run directory.
+
+    A malformed file raises ParseError, so the command fails with its
+    file:line instead of printing a table that silently lacks its evidence;
+    a well-formed certificate or witness that is not evidence is skipped.
+    """
     inputs: dict[int, BoundsInput] = {}
     certs: list[ExhaustionCertificate] = []
     skipped: list[str] = []
     for name in sorted(os.listdir(dir_path)):
         path = os.path.join(dir_path, name)
         if name.endswith(".cert"):
-            try:
-                cert = parse_certificate_file(path)
-            except ParseError as exc:
-                skipped.append(str(exc))
-                continue
+            cert = parse_certificate_file(path)
             if cert.g != g:
                 continue
             if cert.covers_order() and cert.leaves == 0:
@@ -388,11 +389,7 @@ def _scan_directory(dir_path: str, g: int):
                 skipped.append(f"{path}: not full exhaustion evidence "
                                f"(status {cert.status}, leaves {cert.leaves})")
         elif name.endswith(".hbg"):
-            try:
-                entry = parse_witness_file(path)
-            except ParseError as exc:
-                skipped.append(str(exc))
-                continue
+            entry = parse_witness_file(path)
             report = verify_witness(entry)
             if report.passed and report.measured_girth >= g:
                 cur = inputs.get(entry.b, BoundsInput())

@@ -5,7 +5,11 @@ offset d for the lowest unassigned position j simultaneously forces position
 (j + d) mod 2b to the negated offset, so the tree is b pairs deep.  Each
 accepted node is girth-checked through the newly added chord orbit only;
 cycles avoiding the new orbit were already checked at the parent, so the
-incremental test is equivalent to the full pruning predicate.
+incremental test is equivalent to the full pruning predicate.  Each node
+first computes the sound per-node filters of girth.py (its frontier ball,
+and the two-chord marks of a partner class the first time a candidate of
+that class survives the ball) and hands the rejected far ends to the exact
+check, which then runs its BFS only for the candidates they do not decide.
 
 Counters use a fixed accounting that makes certificates mergeable by
 summation: nodes = expansions - conflicts - girth_rejects - sym_skips, and
@@ -19,7 +23,13 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 
-from .girth import _BfsScratch, chord_cycle_shorter_than, girth_oracle
+from .girth import (
+    _BfsScratch,
+    chord_cycle_shorter_than,
+    frontier_ball,
+    girth_oracle,
+    mark_partner_class,
+)
 from .pattern import (
     DivisibilityError,
     OffsetPattern,
@@ -268,7 +278,7 @@ class _Kernel:
     """Depth-first enumeration below one root value; counters per run_root call."""
 
     __slots__ = (
-        "n", "b2", "g", "cand", "offsets", "scratch", "reduction", "collect",
+        "n", "b2", "g", "cand", "offsets", "scratch", "reduction", "collect", "root_ends",
         "expansions", "conflicts", "girth_rejects", "sym_skips", "nodes", "leaves",
         "witnesses", "breached", "stop", "budget",
     )
@@ -282,6 +292,10 @@ class _Kernel:
         self.scratch = _BfsScratch(order)
         self.reduction = reduction
         self.collect = collect
+        # every root value is a candidate at the same node, the bare cycle at j=0
+        self.root_ends, dist = frontier_ball(order, self.b2, self.offsets, 0, g)
+        for t in range(1, self.b2, 2):
+            mark_partner_class(self.root_ends, order, self.b2, self.offsets, 0, t, g, dist)
 
     def run_root(self, root: int, budget: int | None):
         self.expansions = 0
@@ -303,7 +317,8 @@ class _Kernel:
         t = root % self.b2
         offs[0] = root
         offs[t] = self.n - root
-        if chord_cycle_shorter_than(self.n, self.b2, offs, 0, self.g, self.scratch):
+        if chord_cycle_shorter_than(self.n, self.b2, offs, 0, self.g, self.scratch,
+                                    self.root_ends):
             self.girth_rejects += 1
         else:
             self.nodes += 1
@@ -333,6 +348,9 @@ class _Kernel:
         reduction = self.reduction
         scratch = self.scratch
         j_even = j % 2 == 0
+        # this node's own buffers: children build theirs and leave these alone
+        ends, dist = frontier_ball(n, b2, offs, j, g)
+        built = bytearray(b2)
         for d in self.cand:
             if budget is not None and self.expansions >= budget:
                 self.breached = True
@@ -349,9 +367,15 @@ class _Kernel:
                 if even_value < first:
                     self.sym_skips += 1
                     continue
+            q = j + d
+            if q >= n:
+                q -= n
+            if not ends[q] and not built[t]:
+                built[t] = 1
+                mark_partner_class(ends, n, b2, offs, j, t, g, dist)
             offs[j] = d
             offs[t] = n - d
-            if chord_cycle_shorter_than(n, b2, offs, j, g, scratch):
+            if chord_cycle_shorter_than(n, b2, offs, j, g, scratch, ends):
                 self.girth_rejects += 1
             else:
                 self.nodes += 1

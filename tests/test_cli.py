@@ -283,7 +283,9 @@ class TestResumeSafety:
         code, out, err = run_cli("search", "--resume", str(resume), "--quiet",
                                  capsys=capsys)
         assert code == 1
-        assert f"{cert}:1:" in err
+        lines = cert.read_text().split("\n")
+        counters_at = next(i for i, line in enumerate(lines, 1) if line.startswith("expansions "))
+        assert f"{cert}:{counters_at}: inconsistent certificate" in err
         assert _snapshot(out_dir) == before
 
     def test_certificate_of_another_search_is_kept(self, tmp_path, capsys, monkeypatch):

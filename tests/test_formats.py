@@ -127,6 +127,19 @@ def test_certificate_field_is_refused_at_its_line(key, bad):
         parse_certificate("\n".join(lines) + "\n", source="c.cert")
 
 
+@pytest.mark.parametrize("key, bad, cited", [
+    ("positions", "positions 4", "positions"),
+    ("pairs", "pairs 2", "pairs"),
+    ("nodes", "nodes 3", "expansions"),  # a counter defect cites the first counter
+    ("covered", "covered 3 13", "expansions"),
+])
+def test_certificate_record_check_cites_its_key(key, bad, cited):
+    lines = [bad if line.startswith(key + " ") else line for line in CERT_LINES]
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(cited + " "))
+    with pytest.raises(ParseError, match=f"^c.cert:{lineno}: "):
+        parse_certificate("\n".join(lines) + "\n", source="c.cert")
+
+
 @pytest.mark.parametrize("lineno, bad", [
     (2, "g 1_4"),
     (3, "exhausted x 264"),
@@ -144,6 +157,10 @@ def test_claims_line_is_refused_at_its_line(lineno, bad):
     ("HBG 1\ng 6\nn 14\nb 1\noffsets 5 9\nnote café\n", 6),
     ("HBG 1\r\ng 6\nn 14\nb 1\noffsets 5 9\n", 1),
     ("HBG 1\ng 6\nn 14\nb 1\noffsets 5\x0b9\n", 5),
+    # whole-record checks cite the key they refuse
+    ("HBG 1\ng 6\nn 15\nb 1\noffsets 5 9\n", 3),
+    ("HBG 1\ng 6\nn 14\n\nb 0\noffsets 5 9\n", 5),
+    ("HBG 1\ng 6\nn 14\nb 1\noffsets 5 9 7\n", 5),
 ])
 def test_witness_line_is_refused_at_its_line(text, lineno, tmp_path):
     with pytest.raises(ParseError, match=f"^w.hbg:{lineno}: "):
@@ -195,10 +212,10 @@ BAD_CONFIG = b"# bounds\n6 1_4\n"
     (["search", "--resume", "{r}"], {"r": BAD_RESUME}, "r", 8, 1),
     (["search", "--girth", "6", "--sym", "1", "--min", "6", "--max", "6",
       "--config", "{f}"], {"f": BAD_CONFIG}, "f", 2, 1),
-    # a directory scan skips an unreadable file with a note and goes on
-    (["report", "--girth", "6", "--dir", "{d}"], {"x.cert": BAD_CERT}, "x.cert", 9, 0),
+    # a malformed evidence file in a scanned directory fails the command
+    (["report", "--girth", "6", "--dir", "{d}"], {"x.cert": BAD_CERT}, "x.cert", 9, 1),
     (["table", "--girth", "6", "--dir", "{d}", "--sym", "1"], {"x.hbg": UTF8_WITNESS},
-     "x.hbg", 6, 0),
+     "x.hbg", 6, 1),
 ], ids=["verify", "render", "girth", "canon", "table-claims", "table-config",
         "search-resume", "search-config", "report-dir", "table-dir"])
 def test_command_on_malformed_file_names_file_and_line(argv, files, bad, lineno, code,

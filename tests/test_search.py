@@ -339,3 +339,37 @@ def test_orders_below_the_girth_need_no_search(shards, processes):
     assert [oc.status for oc in out.per_order] == ["exhausted", "exhausted"]
     assert all(oc.certificate.covers_order() and oc.certificate.expansions == 0
                for oc in out.per_order)
+
+
+@pytest.mark.parametrize("spec, order", [
+    (spec_for(14, 3, [258], mode="prove"), 258),
+    (spec_for(8, 3, [42], mode="all", reduction=True), 42),
+    (spec_for(14, 7, [266], mode="prove", node_budget=2000), 266),
+], ids=["prove-g14-b3", "all-reduced-g8-b3", "budget-g14-b7"])
+def test_one_predicate_call_per_undecided_candidate(spec, order, monkeypatch):
+    """The benchmark tracer's self-check: every expansion that is neither a
+    conflict nor a symmetry skip calls the predicate exactly once, including
+    the candidates the per-node filters already decide."""
+    calls = 0
+    discarded = 0
+    real_predicate = search.chord_cycle_shorter_than
+    real_run_root = search._Kernel.run_root
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real_predicate(*args)
+
+    def run_root(kern, root, budget):
+        # a breached root's counters never reach the certificate; add them back
+        nonlocal discarded
+        real_run_root(kern, root, budget)
+        if kern.breached:
+            discarded += kern.expansions - kern.conflicts - kern.sym_skips
+
+    monkeypatch.setattr(search, "chord_cycle_shorter_than", counting)
+    monkeypatch.setattr(search._Kernel, "run_root", run_root)
+    cert = enumerate_order(spec, order).certificate
+    assert calls == cert.expansions - cert.conflicts - cert.sym_skips + discarded
+    assert (discarded > 0) == (spec.node_budget is not None)
+    assert calls > cert.girth_rejects > 0
