@@ -330,6 +330,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_girth(args) -> int:
+    if args.cap is not None and args.cap < 3:
+        raise _UsageError(f"--cap must be at least 3, got {args.cap}")
     entry = parse_witness_file(args.file)
     try:
         pattern = validate_pattern(entry.order // 2, entry.b, entry.offsets)
@@ -364,12 +366,13 @@ def cmd_canon(args) -> int:
 
 # --- table / report ----------------------------------------------------------
 
-def _scan_directory(dir_path: str, g: int):
+def _scan_directory(dir_path: str, g: int, witnesses: bool = True):
     """Collect exhaustion evidence and verified witnesses from a run directory.
 
     A malformed file raises ParseError, so the command fails with its
     file:line instead of printing a table that silently lacks its evidence;
     a well-formed certificate or witness that is not evidence is skipped.
+    With witnesses=False, .hbg files are not read at all.
     """
     inputs: dict[int, BoundsInput] = {}
     certs: list[ExhaustionCertificate] = []
@@ -388,7 +391,7 @@ def _scan_directory(dir_path: str, g: int):
             else:
                 skipped.append(f"{path}: not full exhaustion evidence "
                                f"(status {cert.status}, leaves {cert.leaves})")
-        elif name.endswith(".hbg"):
+        elif witnesses and name.endswith(".hbg"):
             entry = parse_witness_file(path)
             report = verify_witness(entry)
             if report.passed and report.measured_girth >= g:
@@ -433,7 +436,7 @@ def cmd_report(args) -> int:
     if not os.path.isdir(args.dir):
         _eprint(f"error: {args.dir} is not a directory")
         return EXIT_ERROR
-    _, certs, skipped = _scan_directory(args.dir, args.girth)
+    _, certs, skipped = _scan_directory(args.dir, args.girth, witnesses=False)
     for msg in skipped:
         _eprint(f"note: skipped {msg}")
     if args.sym:

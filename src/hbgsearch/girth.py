@@ -1,10 +1,12 @@
 """Girth computation for expanded graphs and offset patterns.
 
 Two independent routes are provided on purpose: girth_oracle walks an
-explicit graph from every vertex and is kept as simple as possible, while
-girth_fast exploits the rotational symmetry of a pattern (every vertex
-class mod 2b has the same neighbourhood structure, so the 2b class
-representatives suffice as roots).  Their agreement is a tested contract.
+explicit graph with an array BFS from every vertex and is kept as simple as
+possible (each root's BFS stops once it cannot close a cycle shorter than
+the best found so far), while girth_fast exploits the rotational symmetry
+of a pattern (every vertex class mod 2b has the same neighbourhood
+structure, so the 2b class representatives suffice as roots).  Their
+agreement is a tested contract.
 
 has_girth_at_least is the plain reference pruning predicate: it builds the
 graph forced by a partial offset assignment and searches it for a cycle
@@ -77,10 +79,14 @@ class GirthResult:
 def girth_oracle(graph: ExpandedGraph, cap: int) -> GirthResult:
     """Reference girth by truncated BFS from every vertex.
 
-    Deliberately plain: dict-based BFS with parent-edge exclusion, shortest
-    cycle estimate min over all roots, no symmetry assumptions.  A cycle of
-    length L through the root is found at depth ceil(L/2), so expanding
-    vertices below depth ceil(cap/2) sees every cycle of length <= cap.
+    Deliberately plain: array BFS with parent-edge exclusion from every
+    vertex, shortest cycle estimate min over all roots, no symmetry
+    assumptions.  A cycle of length L through the root is found at depth
+    ceil(L/2), so expanding vertices below depth ceil(cap/2) sees every
+    cycle of length <= cap.  A root's BFS also stops at the first vertex of
+    depth du with 2*du >= best: a non-tree edge met while expanding it
+    closes a walk of length at least 2*du, so nothing below can beat best
+    (Itai & Rodeh, SIAM J. Comput. 7, 1978).
     """
     return _shortest_cycle(graph.adjacency, range(graph.order), cap)
 
@@ -90,33 +96,32 @@ def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     depth_cap = (cap + 1) // 2
-    best: int | None = None
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    best = cap + 1  # a cycle longer than cap is never reported
     for root in roots:
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                if du >= depth_cap:
+        dist[root] = 0
+        parent[root] = -1
+        reached = [root]
+        for u in reached:  # grows while it is read: a FIFO queue
+            du = dist[u]
+            if du >= depth_cap or 2 * du >= best:
+                break
+            pu = parent[u]
+            nd = du + 1
+            for v in adj[u]:
+                if v == pu:
                     continue
-                for v in adj[u]:
-                    if v == parent[u]:
-                        continue
-                    dv = dist.get(v)
-                    if dv is None:
-                        dist[v] = du + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    else:
-                        length = du + dv + 1
-                        if best is None or length < best:
-                            best = length
-            frontier = nxt
-    if best is not None and best <= cap:
-        return GirthResult(value=best, cap=cap)
-    return GirthResult(value=None, cap=cap)
+                dv = dist[v]
+                if dv < 0:
+                    dist[v] = nd
+                    parent[v] = u
+                    reached.append(v)
+                elif du + dv + 1 < best:
+                    best = du + dv + 1
+        for v in reached:
+            dist[v] = -1
+    return GirthResult(value=best if best <= cap else None, cap=cap)
 
 
 def girth_fast(pattern: OffsetPattern, cap: int) -> GirthResult:

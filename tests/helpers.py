@@ -1,10 +1,12 @@
 """Test-only helpers: brute-force reference enumeration and random patterns.
 
 The brute-force survey is the unpruned reference the search kernel is
-tested against; random patterns feed the property tests.
+tested against; random patterns feed the property tests.  The edge-removal
+girth is a reference for the oracle's BFS on arbitrary simple graphs.
 """
 
 import itertools
+from collections import deque
 
 from hbgsearch.girth import girth_oracle
 from hbgsearch.pattern import (
@@ -106,3 +108,34 @@ def _random_offsets(rng, m: int, b: int) -> list[int] | None:
         return False
 
     return table if go() else None
+
+
+def edge_removal_girth(adj) -> int | None:
+    """Girth of a simple graph: 1 + min over edges uv of dist(u, v) in G - uv.
+
+    None for a forest.  Independent of the oracle: one plain BFS per edge,
+    with no parent-edge exclusion and no stop rule.
+    """
+    best = None
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if u < v:
+                d = _distance_without_edge(adj, u, v)
+                if d is not None and (best is None or d + 1 < best):
+                    best = d + 1
+    return best
+
+
+def _distance_without_edge(adj, s: int, t: int) -> int | None:
+    dist = {s: 0}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if {x, y} == {s, t} or y in dist:
+                continue
+            dist[y] = dist[x] + 1
+            if y == t:
+                return dist[y]
+            queue.append(y)
+    return None

@@ -228,6 +228,21 @@ class TestTableReportCommands:
         assert "(no certified orders)" in out
         assert "skipped" in err
 
+    def test_report_ignores_witness_files(self, heawood_run, capsys):
+        out_dir, _ = heawood_run
+        # the Heawood graph claimed at girth 8: well-formed, fails verification
+        (out_dir / "bad.hbg").write_text("HBG 1\ng 8\nn 14\nb 1\noffsets 5 9\n",
+                                         encoding="ascii")
+        code, out, err = run_cli("table", "--girth", "6", "--dir", str(out_dir),
+                                 capsys=capsys)
+        assert code == 0
+        assert f"note: skipped {out_dir / 'bad.hbg'}: witness fails verification" in err
+        code, out, err = run_cli("report", "--girth", "6", "--dir", str(out_dir),
+                                 capsys=capsys)
+        assert code == 0
+        assert "b=1: 6, 8, 10, 12" in out
+        assert ".hbg" not in err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):

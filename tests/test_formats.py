@@ -234,3 +234,20 @@ def test_command_on_malformed_file_names_file_and_line(argv, files, bad, lineno,
 def test_bad_sym_list_is_a_usage_error(command, sym, tmp_path, capsys):
     assert main([command, "--girth", "6", "--dir", str(tmp_path), "--sym", sym]) == 1
     assert "usage error: --sym" in capsys.readouterr().err
+
+
+def test_report_ignores_a_malformed_witness(tmp_path, capsys):
+    (tmp_path / "x.hbg").write_bytes(UTF8_WITNESS)
+    assert main(["report", "--girth", "6", "--dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert "(no certified orders)" in out and err == ""
+
+
+@pytest.mark.parametrize("cap", ["2", "0", "-5"])
+def test_girth_cap_below_3_is_a_usage_error(cap, tmp_path, capsys):
+    path = tmp_path / "w.hbg"
+    path.write_text(WITNESS, encoding="ascii")
+    assert main(["girth", str(path), "--cap", cap]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: --cap must be at least 3, got {cap}" in err
+    assert "Traceback" not in err

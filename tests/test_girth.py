@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hbgsearch import (
@@ -7,9 +9,10 @@ from hbgsearch import (
     girth_oracle,
     has_girth_at_least,
 )
+from hbgsearch.girth import _shortest_cycle
 from hbgsearch.search import assignment_prefix, partial_assignment
 
-from helpers import random_pattern
+from helpers import edge_removal_girth, random_pattern
 
 
 class TestOracle:
@@ -68,6 +71,68 @@ def test_oracle_against_networkx_when_available(rng):
             for v in nbrs:
                 G.add_edge(i, v)
         assert girth_oracle(g, g.order).value == networkx.girth(G)
+
+
+def _random_graph(rng, n: int) -> list[list[int]]:
+    """A simple graph on n vertices, maximum degree 4: a disjoint union of
+    random trees, cycles with a few chords, and denser random parts."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+
+    def add(u, v):
+        if u != v and v not in adj[u] and len(adj[u]) < 4 and len(adj[v]) < 4:
+            adj[u].append(v)
+            adj[v].append(u)
+
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(min(3, n))))
+    for part in (order[i:j] for i, j in zip([0] + cuts, cuts + [n])):
+        kind = rng.choice(("tree", "cycle", "dense"))
+        if kind == "cycle" and len(part) >= 3:
+            for i, u in enumerate(part):
+                add(u, part[i - 1])
+        else:
+            for i in range(1, len(part)):
+                add(part[i], part[rng.randrange(i)])
+        if kind != "tree":
+            for _ in range(rng.randrange(2 * len(part) if kind == "dense" else 3)):
+                add(rng.choice(part), rng.choice(part))
+    for nbrs in adj:
+        rng.shuffle(nbrs)
+    return adj
+
+
+def _connected(adj) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(adj)
+
+
+def test_stop_rule_against_edge_removal_reference():
+    """The oracle's BFS on graphs that are not patterns, at every cap 3..n+1.
+
+    Patterns are bipartite, so every cycle in them is even; odd girths here
+    catch a BFS that stops one level too early.
+    """
+    rng = random.Random(1978)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randrange(3, 15)
+        adj = _random_graph(rng, n)
+        girth = edge_removal_girth(adj)
+        for cap in range(3, n + 2):
+            want = girth if girth is not None and girth <= cap else None
+            assert _shortest_cycle(adj, range(n), cap) == GirthResult(want, cap), (adj, cap)
+        seen.add("forest" if girth is None else "odd girth" if girth % 2 else "even girth")
+        seen.add("connected" if _connected(adj) else "disconnected")
+        seen.update(f"degree {len(nbrs)}" for nbrs in adj)
+    assert seen >= {"forest", "odd girth", "even girth", "connected", "disconnected",
+                    "degree 1", "degree 2", "degree 3", "degree 4"}
 
 
 class TestPruningPredicate:
