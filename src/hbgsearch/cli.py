@@ -8,6 +8,7 @@ Exit status contract: 0 completed, 1 usage/verification/parse failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -67,6 +68,7 @@ def _eprint(*args):
     print(*args, file=sys.stderr)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="hbg", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -209,6 +211,9 @@ def cmd_search(args) -> int:
         raise _UsageError("search requires " + ", ".join(missing))
     if args.step < 2 or args.step % 2 != 0:
         raise _UsageError(f"--step must be a positive even integer, got {args.step}")
+    for name, val in (("--sym", args.sym), ("--shards", args.shards)):
+        if val < 1:
+            raise _UsageError(f"{name} must be at least 1, got {val}")
     b = args.sym
     orders = [n for n in range(args.min_order, args.max_order + 1, args.step)
               if n % 2 == 0 and (n // 2) % b == 0 and n >= 6]

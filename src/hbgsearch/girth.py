@@ -1,12 +1,20 @@
 """Girth computation for expanded graphs and offset patterns.
 
-Two independent routes are provided on purpose: girth_oracle walks an
-explicit graph with an array BFS from every vertex and is kept as simple as
-possible (each root's BFS stops once it cannot close a cycle shorter than
-the best found so far), while girth_fast exploits the rotational symmetry
-of a pattern (every vertex class mod 2b has the same neighbourhood
-structure, so the 2b class representatives suffice as roots).  Their
-agreement is a tested contract.
+There are two BFS loops, one reference and one for the kernel.
+
+- _shortest_cycle is the reference: an array BFS over an explicit
+  adjacency list, kept as plain as possible (each root's BFS stops once it
+  cannot close a cycle shorter than the best found so far).  girth_oracle
+  runs it from every vertex.  girth_fast and has_girth_at_least run it
+  from the 2b class representatives only: every vertex class mod 2b has
+  the same neighbourhood structure, so a shortest cycle passes through one
+  of them.  girth_fast agreeing with girth_oracle is a tested contract.
+- distances_within is the kernel's BFS over the offset table itself, with
+  no adjacency list built.  It serves the frontier ball of every search
+  node, the ball around a partner class in layer 2b, and the exact check
+  chord_cycle_shorter_than.  It never follows the chord at its own root;
+  the exact check relies on that to measure paths that avoid the new
+  chord, and at every other caller the root's class is unassigned.
 
 has_girth_at_least is the plain reference pruning predicate: it builds the
 graph forced by a partial offset assignment and searches it for a cycle
@@ -48,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .pattern import ExpandedGraph, OffsetPattern
+from .pattern import ExpandedGraph, OffsetPattern, expand
 
 if TYPE_CHECKING:  # pragma: no cover
     from .search import PartialAssignment
@@ -132,64 +140,7 @@ def girth_fast(pattern: OffsetPattern, cap: int) -> GirthResult:
     graph, so a shortest cycle always passes through one of the roots
     0..2b-1.  Agrees exactly with girth_oracle(expand(pattern), cap).
     """
-    if cap < 3:
-        raise ValueError(f"cap must be at least 3, got {cap}")
-    n = pattern.order
-    b2 = pattern.positions
-    offs = pattern.offsets
-    depth_cap = (cap + 1) // 2
-    dist = [0] * n
-    parent = [0] * n
-    stamp = [0] * n
-    queue = [0] * n
-    token = 0
-    best = n + 1
-    for root in range(min(b2, n)):
-        token += 1
-        stamp[root] = token
-        dist[root] = 0
-        parent[root] = -1
-        queue[0] = root
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            if du >= depth_cap:
-                break
-            nd = du + 1
-            pu = parent[u]
-            chord = u + offs[u % b2]
-            if chord >= n:
-                chord -= n
-            for v in (u + 1 if u + 1 < n else 0, u - 1 if u > 0 else n - 1, chord):
-                if v == pu:
-                    continue
-                if stamp[v] == token:
-                    length = du + dist[v] + 1
-                    if length < best:
-                        best = length
-                else:
-                    stamp[v] = token
-                    dist[v] = nd
-                    parent[v] = u
-                    queue[tail] = v
-                    tail += 1
-    if best <= cap:
-        return GirthResult(value=best, cap=cap)
-    return GirthResult(value=None, cap=cap)
-
-
-class _BfsScratch:
-    """Reusable per-worker buffers for chord-cycle checks."""
-
-    __slots__ = ("dist", "stamp", "queue", "token")
-
-    def __init__(self, n: int):
-        self.dist = [0] * n
-        self.stamp = [0] * n
-        self.queue = [0] * n
-        self.token = 0
+    return _shortest_cycle(expand(pattern).adjacency, range(pattern.positions), cap)
 
 
 def chord_cycle_shorter_than(
@@ -198,7 +149,6 @@ def chord_cycle_shorter_than(
     offsets: list[int],
     rep: int,
     g: int,
-    scratch: _BfsScratch,
     ends: bytearray | None = None,
 ) -> bool:
     """Whether some cycle through the chord orbit of position `rep` has length < g.
@@ -211,69 +161,21 @@ def chord_cycle_shorter_than(
     filters of the parent already rejected; those are answered without a
     BFS.
     """
-    d = offsets[rep % b2]
-    q = rep + d
+    q = rep + offsets[rep % b2]
     if q >= n:
         q -= n
     if ends is not None and ends[q]:
         return True
-    limit = g - 2
-    dist = scratch.dist
-    stamp = scratch.stamp
-    queue = scratch.queue
-    scratch.token += 1
-    token = scratch.token
-    stamp[rep] = token
-    dist[rep] = 0
-    queue[0] = rep
-    head, tail = 0, 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        du = dist[u]
-        if du >= limit:
-            break
-        nd = du + 1
-        v = u + 1
-        if v == n:
-            v = 0
-        if stamp[v] != token:
-            if v == q:
-                return True
-            stamp[v] = token
-            dist[v] = nd
-            queue[tail] = v
-            tail += 1
-        v = u - 1
-        if v < 0:
-            v = n - 1
-        if stamp[v] != token:
-            if v == q:
-                return True
-            stamp[v] = token
-            dist[v] = nd
-            queue[tail] = v
-            tail += 1
-        off = offsets[u % b2]
-        if off >= 0 and u != rep:
-            v = u + off
-            if v >= n:
-                v -= n
-            if stamp[v] != token:
-                if v == q:
-                    return True
-                stamp[v] = token
-                dist[v] = nd
-                queue[tail] = v
-                tail += 1
-    return False
+    return distances_within(n, b2, offsets, rep, g - 2)[q] >= 0
 
 
 def distances_within(n: int, b2: int, offsets: list[int], root: int, depth: int) -> list[int]:
     """dist_G(root, x) for every x within `depth`, and -1 beyond it.
 
     G is the graph of the assigned chords: the Hamiltonian cycle plus the
-    chord of every position whose entry in `offsets` is not -1.
+    chord of every position whose entry in `offsets` is not -1.  The chord
+    at `root` itself is never followed, so when root's class is assigned
+    the distances are those of G minus that chord.
     """
     dist = [-1] * n
     dist[root] = 0
@@ -296,7 +198,7 @@ def distances_within(n: int, b2: int, offsets: list[int], root: int, depth: int)
             dist[v] = du
             reached.append(v)
         off = offsets[u % b2]
-        if off >= 0:
+        if off >= 0 and u != root:
             v = u + off
             if v >= n:
                 v -= n

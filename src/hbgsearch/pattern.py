@@ -65,12 +65,6 @@ class OffsetPattern:
     def positions(self) -> int:
         return 2 * self.b
 
-    def offset_at(self, vertex: int) -> int:
-        return self.offsets[vertex % (2 * self.b)]
-
-    def chord_target(self, vertex: int) -> int:
-        return (vertex + self.offset_at(vertex)) % (2 * self.m)
-
 
 @dataclass(frozen=True)
 class ExpandedGraph:
@@ -227,14 +221,6 @@ class PatternTransform:
             raise ValueError(f"shift must be even, got {self.shift}")
 
 
-def apply_transform(transform: PatternTransform, pattern: OffsetPattern) -> OffsetPattern:
-    """Apply a relabeling transform; the result is revalidated."""
-    return validate_pattern(
-        pattern.m, pattern.b,
-        _transformed_offsets(transform, pattern.offsets, pattern.order),
-    )
-
-
 def _transformed_offsets(t: PatternTransform, offsets: tuple[int, ...], n: int) -> tuple[int, ...]:
     b2 = len(offsets)
     seq = list(offsets)
@@ -242,16 +228,6 @@ def _transformed_offsets(t: PatternTransform, offsets: tuple[int, ...], n: int) 
         seq = [n - offsets[(-j) % b2] for j in range(b2)]
     s = t.shift % b2
     return tuple(seq[(j + s) % b2] for j in range(b2))
-
-
-def compose_transforms(first: PatternTransform, second: PatternTransform) -> PatternTransform:
-    """Transform equivalent to applying `second`, then `first`.
-
-    Shifts are kept as raw even integers; they act mod 2b at application
-    time, so composed shifts for different b stay meaningful.
-    """
-    s2 = second.shift if not first.reflect else -second.shift
-    return PatternTransform(shift=first.shift + s2, reflect=first.reflect != second.reflect)
 
 
 def canonical_group(b: int) -> tuple[PatternTransform, ...]:

@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .girth import (
-    _BfsScratch,
     chord_cycle_shorter_than,
     frontier_ball,
     girth_oracle,
@@ -139,23 +138,6 @@ def partial_assignment(m: int, b: int, offsets) -> PartialAssignment:
                 f"positions {j + 1} and {t + 1}: assigned offsets are not negations mod {n}"
             )
     return PartialAssignment(m=m, b=b, offsets=tuple(table))
-
-
-def assignment_prefix(pattern: OffsetPattern, pairs: int) -> PartialAssignment:
-    """Replay the first `pairs` search steps of a full pattern."""
-    b2 = pattern.positions
-    table: list[int | None] = [None] * b2
-    done = 0
-    for j in range(b2):
-        if done >= pairs:
-            break
-        if table[j] is not None:
-            continue
-        d = pattern.offsets[j]
-        table[j] = d
-        table[(j + d) % b2] = pattern.order - d
-        done += 1
-    return PartialAssignment(m=pattern.m, b=pattern.b, offsets=tuple(table))
 
 
 @dataclass(frozen=True)
@@ -278,7 +260,7 @@ class _Kernel:
     """Depth-first enumeration below one root value; counters per run_root call."""
 
     __slots__ = (
-        "n", "b2", "g", "cand", "offsets", "scratch", "reduction", "collect", "root_ends",
+        "n", "b2", "g", "cand", "offsets", "reduction", "collect", "root_node",
         "expansions", "conflicts", "girth_rejects", "sym_skips", "nodes", "leaves",
         "witnesses", "breached", "stop", "budget",
     )
@@ -289,13 +271,12 @@ class _Kernel:
         self.g = g
         self.cand = candidate_values(order)
         self.offsets = [-1] * self.b2
-        self.scratch = _BfsScratch(order)
         self.reduction = reduction
         self.collect = collect
-        # every root value is a candidate at the same node, the bare cycle at j=0
-        self.root_ends, dist = frontier_ball(order, self.b2, self.offsets, 0, g)
-        for t in range(1, self.b2, 2):
-            mark_partner_class(self.root_ends, order, self.b2, self.offsets, 0, t, g, dist)
+        # every root value is a candidate at the same node, the bare cycle at
+        # j=0, so its buffers (and the class marks they gain) outlive a root
+        ends, dist = frontier_ball(order, self.b2, self.offsets, 0, g)
+        self.root_node = (ends, dist, bytearray(self.b2))
 
     def run_root(self, root: int, budget: int | None):
         self.expansions = 0
@@ -308,50 +289,40 @@ class _Kernel:
         self.breached = False
         self.stop = False
         self.budget = budget
-        offs = self.offsets
-        if budget is not None and self.expansions >= budget:
-            self.breached = True
-            self.stop = True
-            return
-        self.expansions += 1
-        t = root % self.b2
-        offs[0] = root
-        offs[t] = self.n - root
-        if chord_cycle_shorter_than(self.n, self.b2, offs, 0, self.g, self.scratch,
-                                    self.root_ends):
-            self.girth_rejects += 1
-        else:
-            self.nodes += 1
-            self._descend()
-        offs[0] = -1
-        offs[t] = -1
+        # offsets[0] is still -1, so the reduction skips no root value here:
+        # root_values already dropped the reflected ones
+        self._try_values(0, (root,), *self.root_node)
 
     def _descend(self):
         offs = self.offsets
-        b2 = self.b2
-        j = -1
-        for k in range(b2):
-            if offs[k] < 0:
-                j = k
-                break
-        if j < 0:
+        if -1 not in offs:
             self.leaves += 1
             if self.collect != "none":
                 self.witnesses.append(tuple(offs))
                 if self.collect == "first":
                     self.stop = True
             return
+        j = offs.index(-1)
+        # this node's own buffers: children build theirs and leave these alone
+        ends, dist = frontier_ball(self.n, self.b2, offs, j, self.g)
+        self._try_values(j, self.cand, ends, dist, bytearray(self.b2))
+
+    def _try_values(self, j: int, values, ends: bytearray, dist: list[int],
+                    built: bytearray):
+        """Try each offset in `values` at frontier j, descending into accepted ones.
+
+        ends and dist are the node's frontier_ball; built[t] is set once the
+        layer-2 marks of partner class t have been added to ends.
+        """
+        offs = self.offsets
         n = self.n
+        b2 = self.b2
         g = self.g
         budget = self.budget
         first = offs[0]
         reduction = self.reduction
-        scratch = self.scratch
         j_even = j % 2 == 0
-        # this node's own buffers: children build theirs and leave these alone
-        ends, dist = frontier_ball(n, b2, offs, j, g)
-        built = bytearray(b2)
-        for d in self.cand:
+        for d in values:
             if budget is not None and self.expansions >= budget:
                 self.breached = True
                 self.stop = True
@@ -375,7 +346,7 @@ class _Kernel:
                 mark_partner_class(ends, n, b2, offs, j, t, g, dist)
             offs[j] = d
             offs[t] = n - d
-            if chord_cycle_shorter_than(n, b2, offs, j, g, scratch, ends):
+            if chord_cycle_shorter_than(n, b2, offs, j, g, ends):
                 self.girth_rejects += 1
             else:
                 self.nodes += 1

@@ -3,6 +3,8 @@
 The brute-force survey is the unpruned reference the search kernel is
 tested against; random patterns feed the property tests.  The edge-removal
 girth is a reference for the oracle's BFS on arbitrary simple graphs.
+Pattern transforms and search-prefix replay build the inputs of the
+symmetry and predicate tests.
 """
 
 import itertools
@@ -12,12 +14,14 @@ from hbgsearch.girth import girth_oracle
 from hbgsearch.pattern import (
     DivisibilityError,
     OffsetPattern,
+    PatternTransform,
     _divisors,
+    _transformed_offsets,
     canonical_form,
     expand,
     validate_pattern,
 )
-from hbgsearch.search import candidate_values
+from hbgsearch.search import PartialAssignment, candidate_values
 
 
 def brute_force_survey(b: int, order: int, limit: int = 8_000_000):
@@ -139,3 +143,38 @@ def _distance_without_edge(adj, s: int, t: int) -> int | None:
                 return dist[y]
             queue.append(y)
     return None
+
+
+def apply_transform(transform: PatternTransform, pattern: OffsetPattern) -> OffsetPattern:
+    """Apply a relabeling transform; the result is revalidated."""
+    return validate_pattern(
+        pattern.m, pattern.b,
+        _transformed_offsets(transform, pattern.offsets, pattern.order),
+    )
+
+
+def compose_transforms(first: PatternTransform, second: PatternTransform) -> PatternTransform:
+    """Transform equivalent to applying `second`, then `first`.
+
+    Shifts are kept as raw even integers; they act mod 2b at application
+    time, so composed shifts for different b stay meaningful.
+    """
+    s2 = second.shift if not first.reflect else -second.shift
+    return PatternTransform(shift=first.shift + s2, reflect=first.reflect != second.reflect)
+
+
+def assignment_prefix(pattern: OffsetPattern, pairs: int) -> PartialAssignment:
+    """Replay the first `pairs` search steps of a full pattern."""
+    b2 = pattern.positions
+    table: list[int | None] = [None] * b2
+    done = 0
+    for j in range(b2):
+        if done >= pairs:
+            break
+        if table[j] is not None:
+            continue
+        d = pattern.offsets[j]
+        table[j] = d
+        table[(j + d) % b2] = pattern.order - d
+        done += 1
+    return PartialAssignment(m=pattern.m, b=pattern.b, offsets=tuple(table))

@@ -13,7 +13,6 @@ import pytest
 
 from hbgsearch import has_girth_at_least, search
 from hbgsearch.girth import (
-    _BfsScratch,
     chord_cycle_shorter_than,
     frontier_ball,
     mark_out_and_back,
@@ -58,11 +57,11 @@ def kernel_decisions(monkeypatch, g, b, n, offs):
     j = offs.index(-1)
     calls = []
 
-    def record(n_, b2, offsets, rep, g_, scratch, ends=None):
+    def record(n_, b2, offsets, rep, g_, ends=None):
         if rep != j:
             return True  # a grandchild: this test looks at one node only
         q = (rep + offsets[rep % b2]) % n_
-        rejected = chord_cycle_shorter_than(n_, b2, offsets, rep, g_, scratch, ends)
+        rejected = chord_cycle_shorter_than(n_, b2, offsets, rep, g_, ends)
         calls.append((list(offsets), rejected, bool(ends[q])))
         return rejected
 
@@ -95,7 +94,6 @@ def search_nodes(g, b, n, rng, limit):
     """Up to `limit` search nodes with a frontier, by the exact predicate alone."""
     b2 = 2 * b
     offs = [-1] * b2
-    scratch = _BfsScratch(n)
     nodes = []
 
     def go():
@@ -112,7 +110,7 @@ def search_nodes(g, b, n, rng, limit):
             if offs[t] >= 0:
                 continue
             offs[j], offs[t] = d, n - d
-            if not chord_cycle_shorter_than(n, b2, offs, j, g, scratch):
+            if not chord_cycle_shorter_than(n, b2, offs, j, g):
                 go()
             offs[j] = offs[t] = -1
 
@@ -124,7 +122,6 @@ def search_nodes(g, b, n, rng, limit):
                                      (14, 7, 266)])
 def test_every_marked_far_end_is_rejected_by_the_exact_bfs(g, b, n):
     b2 = 2 * b
-    scratch = _BfsScratch(n)
     cand = set(candidate_values(n))
     marked = {"layer 1": 0, "layer 2a": 0, "layer 2b": 0}
     for offs, j in search_nodes(g, b, n, random.Random(n), limit=60):
@@ -144,6 +141,6 @@ def test_every_marked_far_end_is_rejected_by_the_exact_bfs(g, b, n):
                     continue
                 child = list(offs)
                 child[j], child[t] = d, n - d
-                assert chord_cycle_shorter_than(n, b2, child, j, g, scratch), (rule, child)
+                assert chord_cycle_shorter_than(n, b2, child, j, g), (rule, child)
                 marked[rule] += 1
     assert marked["layer 1"] > 0, marked

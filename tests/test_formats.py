@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from hbgsearch import CatalogEntry, LowerBoundConfig, ParseError, SearchSpec, enumerate_order
+from hbgsearch import CatalogEntry, LowerBoundConfig, ParseError, SearchSpec, cli, enumerate_order
 from hbgsearch.catalog import (
     ResumeState,
     parse_certificate,
@@ -250,4 +250,19 @@ def test_girth_cap_below_3_is_a_usage_error(cap, tmp_path, capsys):
     assert main(["girth", str(path), "--cap", cap]) == 1
     err = capsys.readouterr().err
     assert f"usage error: --cap must be at least 3, got {cap}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, value", [("--sym", "0"), ("--sym", "-2"),
+                                           ("--shards", "0"), ("--shards", "-2")])
+def test_search_count_below_1_is_a_usage_error(option, value, monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "min_order", no_scan)
+    argv = ["search", "--girth", "6", "--sym", "1", "--min", "14", "--max", "14",
+            "--quiet", option, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {option} must be at least 1, got {value}" in err
     assert "Traceback" not in err

@@ -10,9 +10,9 @@ from hbgsearch import (
     has_girth_at_least,
 )
 from hbgsearch.girth import _shortest_cycle
-from hbgsearch.search import assignment_prefix, partial_assignment
+from hbgsearch.search import partial_assignment
 
-from helpers import edge_removal_girth, random_pattern
+from helpers import assignment_prefix, edge_removal_girth, random_pattern
 
 
 class TestOracle:

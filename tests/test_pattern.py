@@ -15,14 +15,9 @@ from hbgsearch import (
     girth_fast,
     validate_pattern,
 )
-from hbgsearch.pattern import (
-    apply_transform,
-    canonical_group,
-    compose_transforms,
-    minimal_position_period,
-)
+from hbgsearch.pattern import canonical_group, minimal_position_period
 
-from helpers import random_pattern
+from helpers import apply_transform, compose_transforms, random_pattern
 
 
 class TestValidate:
