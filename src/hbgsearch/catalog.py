@@ -24,7 +24,7 @@ repeated keys rejected, and any malformed file a ParseError naming
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -327,9 +327,6 @@ class VerificationReport:
     def girth_surplus(self) -> bool:
         return (self.measured_girth is not None
                 and self.measured_girth > self.entry.g)
-
-    def verified_entry(self) -> CatalogEntry:
-        return replace(self.entry, measured_girth=self.measured_girth)
 
     def lines(self) -> list[str]:
         out = [f"{'ok  ' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in self.checks]

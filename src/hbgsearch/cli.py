@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--out", default=None, help="output directory for witness/certificate files")
     s.add_argument("--config", default=None, help="lower-bound override file")
     s.add_argument("--progress", action="store_true",
-                   help="periodic per-root progress on stderr (single-shard runs)")
+                   help="periodic progress on stderr: per root, or per shard when pooled")
     s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=cmd_search)
 
@@ -242,7 +242,7 @@ def cmd_search(args) -> int:
     if not args.quiet:
         _eprint(f"search g={spec.g} b={spec.b} orders {orders[0]}..{orders[-1]} "
                 f"({len(orders)} orders, mode {spec.mode}, shards {args.shards})")
-    progress = _progress_printer() if args.progress and args.shards == 1 else None
+    progress = _progress_printer() if args.progress else None
     outcome = min_order(spec, shards=args.shards,
                         processes=args.shards if args.shards > 1 else None,
                         progress=progress)

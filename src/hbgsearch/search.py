@@ -19,6 +19,7 @@ counters describe.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
@@ -624,6 +625,32 @@ def _shard_worker(payload):
                            deadline=deadline)
 
 
+class _ScanPool:
+    """The worker pool of one scan, forked by the first order that needs it.
+
+    Leaving the `with` block terminates and joins the workers, on every exit
+    path; a scan that never dispatches shards never forks.
+    """
+
+    def __init__(self, processes: int | None):
+        self.processes = processes
+        self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+
+    def imap_shards(self, payloads):
+        """Run `_shard_worker` on each payload; results arrive in payload order."""
+        if self._pool is None:
+            self._pool = multiprocessing.Pool(self.processes)
+        return self._pool.imap(_shard_worker, payloads)
+
+
 def enumerate_order_sharded(
     spec: SearchSpec,
     order: int,
@@ -632,6 +659,7 @@ def enumerate_order_sharded(
     budget: _NodeBudget | None = None,
     deadline: float | None = None,
     progress=None,
+    pool: _ScanPool | None = None,
 ) -> OrderOutcome:
     """Partitioned enumeration of one order, optionally on a process pool.
 
@@ -641,6 +669,11 @@ def enumerate_order_sharded(
     its own first witness, and the merged winner is the one from the lowest
     value range, which equals the serial answer.  A spent budget or a passed
     deadline skips the pool: the in-process call leaves every shard pending.
+
+    `pool` is the scan's pool when `min_order` calls this for each order;
+    without one, a pooled call starts its own pool and closes it on return.
+    Pooled progress fires once per finished shard, in shard order, with the
+    roots its certificate covers.
     """
     ranges = partition(spec, order, shards)
     if budget is None:
@@ -655,8 +688,17 @@ def enumerate_order_sharded(
     # perf_counter is the system-wide monotonic clock (CLOCK_MONOTONIC on
     # Linux), so pool workers can compare against this process's deadline
     payloads = [(spec, order, rng, per_shard, deadline) for rng in ranges]
-    with multiprocessing.Pool(processes) as pool:
-        parts = pool.map(_shard_worker, payloads)
+    roots = root_values(order, spec.reduction)
+    parts = []
+    done = expansions = 0
+    with _ScanPool(processes) if pool is None else contextlib.nullcontext(pool) as pool:
+        for part in pool.imap_shards(payloads):
+            parts.append(part)
+            if progress is not None:
+                cert = part.certificate
+                done += sum(1 for d in roots for lo, hi in cert.covered if lo <= d <= hi)
+                expansions += cert.expansions
+                progress(order, done, len(roots), expansions)
     merged = merge_order_outcomes(spec, order, parts)
     budget.consume(merged.certificate.expansions)
     return merged
@@ -669,8 +711,10 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
     One node budget and one wall deadline are shared by the whole scan.
     Once an order breaches either, the budget is marked spent, so every
     later order is reported undecided with its full root span pending.
-    Per-root progress callbacks fire for in-process searches, sharded ones
-    included, but not for pooled shards.
+    One worker pool serves every pooled order of the scan: the first order
+    that dispatches shards forks it, and it is closed when the scan returns
+    or raises.  Progress callbacks fire after each root for in-process
+    searches, sharded ones included, and after each shard for pooled orders.
     """
     if list(spec.orders) != sorted(set(spec.orders)):
         raise ValueError("orders must be strictly ascending")
@@ -678,18 +722,19 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
     deadline = _scan_deadline(spec, None)
     outcomes: list[OrderOutcome] = []
     minimal = None
-    for order in spec.orders:
-        # an order the scan cannot start stays pending as one full-span range
-        order_shards = 1 if _out_of_work(budget, deadline) else shards
-        oc = enumerate_order_sharded(spec, order, order_shards, processes or 1, budget,
-                                     deadline, progress)
-        outcomes.append(oc)
-        if oc.certificate.status == "budget-exceeded":
-            # the breaching subtree did not fit the remaining allowance;
-            # later orders would re-breach immediately, so leave them pending
-            budget.remaining = 0
-        if oc.status == "witness" and minimal is None:
-            minimal = order
-            if spec.mode == "first-witness":
-                break
+    with _ScanPool(processes) as pool:
+        for order in spec.orders:
+            # an order the scan cannot start stays pending as one full-span range
+            order_shards = 1 if _out_of_work(budget, deadline) else shards
+            oc = enumerate_order_sharded(spec, order, order_shards, processes or 1, budget,
+                                         deadline, progress, pool)
+            outcomes.append(oc)
+            if oc.certificate.status == "budget-exceeded":
+                # the breaching subtree did not fit the remaining allowance;
+                # later orders would re-breach immediately, so leave them pending
+                budget.remaining = 0
+            if oc.status == "witness" and minimal is None:
+                minimal = order
+                if spec.mode == "first-witness":
+                    break
     return SearchOutcome(spec=spec, per_order=tuple(outcomes), minimal_order=minimal)

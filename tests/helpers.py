@@ -4,12 +4,15 @@ The brute-force survey is the unpruned reference the search kernel is
 tested against; random patterns feed the property tests.  The edge-removal
 girth is a reference for the oracle's BFS on arbitrary simple graphs.
 Pattern transforms and search-prefix replay build the inputs of the
-symmetry and predicate tests.
+symmetry and predicate tests.  `verified_entry` turns a verification
+report back into a catalog entry with its measured girth.
 """
 
 import itertools
 from collections import deque
+from dataclasses import replace
 
+from hbgsearch.catalog import CatalogEntry, VerificationReport
 from hbgsearch.girth import girth_oracle
 from hbgsearch.pattern import (
     DivisibilityError,
@@ -178,3 +181,8 @@ def assignment_prefix(pattern: OffsetPattern, pairs: int) -> PartialAssignment:
         table[(j + d) % b2] = pattern.order - d
         done += 1
     return PartialAssignment(m=pattern.m, b=pattern.b, offsets=tuple(table))
+
+
+def verified_entry(report: VerificationReport) -> CatalogEntry:
+    """The report's entry with the girth the verification measured."""
+    return replace(report.entry, measured_girth=report.measured_girth)

@@ -16,7 +16,6 @@ from hbgsearch import (
     SearchSpec,
     derived_symmetry_factors,
     enumerate_order,
-    enumerate_order_sharded,
     expand,
     girth_fast,
     girth_oracle,
@@ -89,13 +88,14 @@ def test_criterion_3_table2_row_b3_full_scale(capsys):
         assert oc.certificate.covers_order() and oc.certificate.leaves == 0
     assert serial.minimal_order is None
 
-    # the same row sharded 8 ways must merge to identical certificates
+    # the same row sharded 8 ways, as one pooled scan, must merge to
+    # identical certificates
     t1 = time.perf_counter()
-    serial_by_order = {oc.order: oc for oc in serial.per_order}
-    for order in TABLE2_B3_ORDERS:
-        merged = enumerate_order_sharded(spec, order, shards=8, processes=2)
-        assert merged.certificate == serial_by_order[order].certificate, order
+    sharded = min_order(spec, shards=8, processes=2)
     sharded_s = time.perf_counter() - t1
+    assert [oc.order for oc in sharded.per_order] == TABLE2_B3_ORDERS
+    for merged, oc in zip(sharded.per_order, serial.per_order):
+        assert merged.certificate == oc.certificate, oc.order
     with capsys.disabled():
         _ok("criterion-3",
             f"non-existence certified for all 22 orders 258..384; serial "

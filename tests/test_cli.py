@@ -90,6 +90,13 @@ class TestSearchCommand:
         assert code == 0
         assert "5/5 roots" in err
         assert "roots" not in out
+        # pooled shards report too
+        code, out, err = run_cli("search", "--girth", "6", "--sym", "1",
+                                 "--min", "14", "--max", "14", "--mode", "prove",
+                                 "--shards", "2", "--progress", capsys=capsys)
+        assert code == 0
+        assert "5/5 roots" in err
+        assert "roots" not in out
 
     def test_resume_completes_small_case(self, tmp_path, capsys):
         out_dir = tmp_path / "res"

@@ -323,12 +323,69 @@ class TestScanDeadline:
         oc = enumerate_order_sharded(spec, 42, 3, 2, deadline=time.perf_counter() - 1)
         assert oc.certificate.expansions == 0
         assert oc.pending == tuple(partition(spec, 42, 3))
+        # a scan whose wall budget is already spent when it starts
+        late = spec_for(8, 3, [36, 42], mode="prove", wall_budget_s=-1)
+        out = min_order(late, shards=3, processes=2)
+        assert [oc.certificate.expansions for oc in out.per_order] == [0, 0]
+        assert all(oc.status == "undecided" for oc in out.per_order)
 
     def test_progress_fires_for_serial_shards(self):
         seen = []
         spec = spec_for(6, 1, [14], mode="prove")
         min_order(spec, shards=2, progress=lambda *args: seen.append(args))
         assert [s[1:3] for s in seen] == [(k, 5) for k in range(1, 6)]
+        # pooled: one call per finished shard, in shard order
+        pooled = []
+        min_order(spec, shards=2, processes=2, progress=lambda *args: pooled.append(args))
+        assert len(pooled) == len(partition(spec, 14, 2))
+        assert all(p[0] == 14 and p[2] == 5 for p in pooled)
+        assert [p[1] for p in pooled] == sorted(p[1] for p in pooled)
+        assert [p[3] for p in pooled] == sorted(p[3] for p in pooled)
+        assert pooled[-1][1:3] == (5, 5) and pooled[-1][3] == seen[-1][3]
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """Every pool the search starts, kept referenced so that only an explicit
+    close, not garbage collection, can stop its workers."""
+    real = search.multiprocessing.Pool
+    pools = []
+
+    def keeping(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", keeping)
+    return pools
+
+
+class TestScanPool:
+    spec = spec_for(8, 3, [30, 36, 42], mode="prove")
+
+    def test_pooled_scan_starts_one_pool(self, started_pools):
+        out = min_order(self.spec, shards=3, processes=2)
+        assert len(started_pools) == 1
+        serial = min_order(self.spec)
+        assert len(started_pools) == 1  # a serial scan starts none
+        assert [oc.certificate for oc in out.per_order] == \
+            [oc.certificate for oc in serial.per_order]
+
+    def test_pooled_scan_leaves_no_workers(self, started_pools):
+        min_order(self.spec, shards=3, processes=2)
+        assert started_pools and multiprocessing.active_children() == []
+
+    def test_raising_progress_callback_leaves_no_workers(self, started_pools):
+        calls = []
+
+        def progress(order, done, total, expansions):
+            calls.append(order)
+            if order == 36:
+                raise RuntimeError("stop the scan")
+
+        with pytest.raises(RuntimeError, match="stop the scan"):
+            min_order(self.spec, shards=3, processes=2, progress=progress)
+        assert calls[0] == 30 and calls[-1] == 36
+        assert started_pools and multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("shards, processes", [(1, None), (2, None), (2, 2)])
