@@ -61,6 +61,13 @@ def _int(value: str) -> int:
     return int(value)
 
 
+def _count(value: str) -> int:
+    k = _int(value)
+    if k < 1:
+        raise ValueError(f"expected at least 1, got {k}")
+    return k
+
+
 def _ints(count: int | None = None, tail: bool = False) -> Callable[[str], tuple]:
     """Kind: `count` integers (any number when None), then free text if `tail`."""
     def parse(value: str) -> tuple:
@@ -465,7 +472,7 @@ class ResumeState:
 
 
 _RESUME = _Format("HBG-RESUME 1", keys=_SEARCH_KEYS + (
-    ("node-budget", _int, "?"), ("shard", _odd_range, "+"),
+    ("node-budget", _count, "?"), ("shard", _odd_range, "+"),
 ))
 
 

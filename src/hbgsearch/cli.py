@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -144,8 +145,10 @@ def _parse_sym_list(text: str) -> list[int]:
         for tok in text.split(","):
             tok = tok.strip()
             if "-" in tok:
-                lo, hi = tok.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, tok.split("-", 1))
+                if hi < lo:
+                    raise _UsageError(f"--sym: {tok!r} is an empty range")
+                out.extend(range(lo, hi + 1))
             elif tok:
                 out.append(int(tok))
     except ValueError:
@@ -201,7 +204,18 @@ def _emit_outcome(spec: SearchSpec, oc: OrderOutcome, out_dir: str | None, quiet
           f"nodes {oc.certificate.nodes} leaves {oc.certificate.leaves}{extra}")
 
 
+def _require_finite_positive(name: str, value: float | None) -> None:
+    if value is not None and not 0 < value < math.inf:
+        raise _UsageError(f"{name} must be finite and above 0, got {value}")
+
+
 def cmd_search(args) -> int:
+    # counts and budgets are refused before any order runs, --resume or not
+    for name, val in (("--sym", args.sym), ("--shards", args.shards),
+                      ("--node-budget", args.node_budget)):
+        if val is not None and val < 1:
+            raise _UsageError(f"{name} must be at least 1, got {val}")
+    _require_finite_positive("--wall-budget", args.wall_budget)
     if args.resume:
         return _run_resume(args)
     missing = [name for name, val in (("--girth", args.girth), ("--sym", args.sym),
@@ -211,9 +225,6 @@ def cmd_search(args) -> int:
         raise _UsageError("search requires " + ", ".join(missing))
     if args.step < 2 or args.step % 2 != 0:
         raise _UsageError(f"--step must be a positive even integer, got {args.step}")
-    for name, val in (("--sym", args.sym), ("--shards", args.shards)):
-        if val < 1:
-            raise _UsageError(f"{name} must be at least 1, got {val}")
     b = args.sym
     orders = [n for n in range(args.min_order, args.max_order + 1, args.step)
               if n % 2 == 0 and (n // 2) % b == 0 and n >= 6]
@@ -457,6 +468,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _require_finite_positive("--radius", args.radius)
+    _require_finite_positive("--vertex-radius", args.vertex_radius)
     entry = parse_witness_file(args.file)
     style = render_mod.RenderStyle(radius=args.radius, vertex_radius=args.vertex_radius,
                                    labels=args.labels)

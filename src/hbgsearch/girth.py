@@ -9,12 +9,18 @@ There are two BFS loops, one reference and one for the kernel.
   from the 2b class representatives only: every vertex class mod 2b has
   the same neighbourhood structure, so a shortest cycle passes through one
   of them.  girth_fast agreeing with girth_oracle is a tested contract.
-- distances_within is the kernel's BFS over the offset table itself, with
-  no adjacency list built.  It serves the frontier ball of every search
-  node, the ball around a partner class in layer 2b, and the exact check
-  chord_cycle_shorter_than.  It never follows the chord at its own root;
-  the exact check relies on that to measure paths that avoid the new
-  chord, and at every other caller the root's class is unassigned.
+- level_sets is the kernel's BFS over the offset table itself, with no
+  adjacency list built.  Each BFS level is one n-bit Python int (bit x set
+  means vertex x), so a step is a fixed number of big-int operations, not
+  one loop trip per vertex: the level rotated by +1 and -1, and for each
+  assigned class c the level's class-c vertices (a mask cached per
+  (n, 2b)) rotated by c's offset.  It serves the frontier ball of every
+  search node, the ball around a partner class in layer 2b, and the exact
+  check chord_cycle_shorter_than, which passes the far end as a stop
+  vertex.  It never follows the chord at its own root; the exact check
+  relies on that to measure paths that avoid the new chord, and at every
+  other caller the root's class is unassigned.  tests/helpers.py keeps a
+  plain per-vertex BFS that it is tested against.
 
 has_girth_at_least is the plain reference pruning predicate: it builds the
 graph forced by a partial offset assignment and searches it for a cycle
@@ -49,11 +55,27 @@ the walk never turns straight back on an edge.  A closed walk that never
 backtracks, read cyclically, cannot live in a forest, so the edges it uses
 contain a cycle of length <= g-1.  The exact check rejects such a candidate
 too: the filters change what a decision costs, never the decision.
+
+Parity.  Every offset is odd and n is even, so every edge joins an even and
+an odd vertex: every pattern graph is bipartite, and a path between two
+vertices has the parity of their difference.  That lets each ball stop
+earlier than the rules read, with no decision changed:
+
+- a far end q = j + d is at odd distance from j, so D(q) <= g-2 (layer 1)
+  and a path of length <= g-2 avoiding the new chord (the exact check) mean
+  the same as <= g-3: the frontier ball and the exact check go to depth g-3;
+- in layer 2b, x shares t's class and j + t - x shares j's, so l1 and l2 are
+  even, and x != t makes both at least 2; l1 + l2 <= g-3 then means
+  l1 + l2 <= g-4, so l1 <= g-6: the ball from t goes to depth g-6, and l2
+  is read from j's levels up to g-4-l1;
+- in layer 2a, x1 and x2 share t's class, at odd distance from j, so only
+  the odd levels below g-3 hold them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .pattern import ExpandedGraph, OffsetPattern, expand
@@ -157,93 +179,138 @@ def chord_cycle_shorter_than(
     Because assigned chords come in whole translation orbits, it suffices to
     test the single representative chord (rep, rep + offset): a path of
     length <= g-2 back from its far end, avoiding the chord itself, closes
-    a short cycle.  `ends`, when given, holds the far ends the per-node
-    filters of the parent already rejected; those are answered without a
-    BFS.
+    a short cycle.  The far end is at odd distance, so depth g-3 is enough.
+    `ends`, when given, holds the far ends the per-node filters of the
+    parent already rejected; those are answered without a BFS.
     """
     q = rep + offsets[rep % b2]
     if q >= n:
         q -= n
     if ends is not None and ends[q]:
         return True
-    return distances_within(n, b2, offsets, rep, g - 2)[q] >= 0
+    return level_sets(n, b2, offsets, rep, g - 3, q)[-1] >> q & 1 == 1
 
 
-def distances_within(n: int, b2: int, offsets: list[int], root: int, depth: int) -> list[int]:
-    """dist_G(root, x) for every x within `depth`, and -1 beyond it.
+@cache
+def _class_masks(n: int, b2: int) -> tuple[int, ...]:
+    """Bit set of every vertex class mod b2: bit x of masks[c] is set iff x = c (mod b2)."""
+    every = 0
+    for _ in range(n // b2):
+        every = (every << b2) | 1
+    return tuple(every << c for c in range(b2))
+
+
+def level_sets(n: int, b2: int, offsets: list[int], root: int, depth: int,
+               stop: int | None = None) -> list[int]:
+    """The BFS levels of root up to `depth`: bit x of levels[k] is set iff dist_G(root, x) = k.
 
     G is the graph of the assigned chords: the Hamiltonian cycle plus the
     chord of every position whose entry in `offsets` is not -1.  The chord
     at `root` itself is never followed, so when root's class is assigned
-    the distances are those of G minus that chord.
+    the distances are those of G minus that chord.  The list ends early at
+    the first empty level, or at the first level that contains `stop`.
+
+    One step moves a whole level at once: the level rotated by +1 and -1,
+    and, for each assigned class c, the level's class-c vertices rotated by
+    c's offset.  Every offset is odd, so a level holds vertices of one
+    parity, and only the classes of that parity can move it.
     """
-    dist = [-1] * n
-    dist[root] = 0
-    reached = [root]
-    for u in reached:  # grows while it is read: a FIFO queue
-        du = dist[u]
-        if du == depth:
+    levels = [1 << root]
+    target = 0 if stop is None else 1 << stop
+    if depth < 1 or target & levels[0]:
+        return levels
+    masks = _class_masks(n, b2)
+    moves = ([], [])
+    for c in range(b2):
+        d = offsets[c]
+        if d >= 0:
+            moves[c & 1].append((masks[c], d))
+    up = root + 1 if root + 1 < n else 0
+    frontier = (1 << up) | (1 << (root - 1 if root else n - 1))
+    unseen = ((1 << n) - 1) ^ levels[0] ^ frontier
+    levels.append(frontier)
+    parity = ~root & 1  # the parity of the vertices in `frontier`
+    for _ in range(depth - 1):
+        if frontier & target:
             break
-        du += 1
-        v = u + 1
-        if v == n:
-            v = 0
-        if dist[v] < 0:
-            dist[v] = du
-            reached.append(v)
-        v = u - 1
-        if v < 0:
-            v = n - 1
-        if dist[v] < 0:
-            dist[v] = du
-            reached.append(v)
-        off = offsets[u % b2]
-        if off >= 0 and u != root:
-            v = u + off
-            if v >= n:
-                v -= n
-            if dist[v] < 0:
-                dist[v] = du
-                reached.append(v)
-    return dist
+        x = (frontier << 1) | (frontier << (n - 1))
+        for mask, d in moves[parity]:
+            x |= (frontier & mask) << d
+        frontier = (x | (x >> n)) & unseen
+        if not frontier:
+            break
+        unseen ^= frontier
+        levels.append(frontier)
+        parity ^= 1
+    return levels
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def frontier_ball(n: int, b2: int, offsets: list[int], j: int, g: int
                   ) -> tuple[bytearray, list[int]]:
-    """Layer 1 at the node whose frontier is j: (ends, D).
+    """Layer 1 at the node whose frontier is j: (ends, levels).
 
-    D is dist_G(j, .) up to g-2 (-1 beyond), and ends marks every far end
-    within it, so ends[j + d] rejects candidate d.  ends is the node's own
-    buffer; mark_partner_class adds the layer-2 marks of a class to it.
+    levels are j's BFS levels in G up to g-3, and ends marks every vertex
+    within them, so ends[j + d] rejects candidate d.  A far end is at odd
+    distance, so marking up to g-3 marks every far end within g-2.  ends
+    is the node's own buffer; mark_partner_class adds the layer-2 marks of
+    a class to it.
     """
-    dist = distances_within(n, b2, offsets, j, g - 2)
-    return bytearray(x >= 0 for x in dist), dist
+    levels = level_sets(n, b2, offsets, j, g - 3)
+    ball = 0
+    for level in levels:
+        ball |= level
+    ends = bytearray(f"{ball:0{n}b}"[::-1], "ascii").translate(_BIT_BYTES)
+    return ends, levels
+
+
+def _members(bits: int):
+    """The vertices of a bit set, in ascending order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def mark_out_and_back(ends: bytearray, n: int, b2: int, offsets: list[int], j: int,
-                      t: int, g: int, dist: list[int]) -> bool:
-    """Layer 2b: mark every far end of class t if a short out-and-back walk exists."""
-    limit = g - 3
-    from_t = distances_within(n, b2, offsets, t, limit - 1)
-    for x in range(t + b2, n, b2):
-        l1 = from_t[x]
-        if l1 < 0:
+                      t: int, g: int, levels: list[int]) -> bool:
+    """Layer 2b: mark every far end of class t if a short out-and-back walk exists.
+
+    x and t share a class and y = j + t - x shares j's, so l1 and l2 are
+    even and at least 2: l1 + l2 <= g-3 means l1 <= g-6 and l2 <= g-4-l1.
+    """
+    mask = _class_masks(n, b2)[t]
+    from_t = level_sets(n, b2, offsets, t, g - 6)
+    for l1 in range(2, len(from_t), 2):
+        xs = from_t[l1] & mask
+        if not xs:
             continue
-        y = j + t - x
-        if y < 0:
-            y += n
-        l2 = dist[y]
-        if 0 <= l2 <= limit - l1:
-            ends[t::b2] = bytes([1]) * (n // b2)
-            return True
+        near_j = 0
+        for level in levels[:g - 3 - l1]:
+            near_j |= level
+        for x in _members(xs):
+            y = j + t - x
+            if y < 0:
+                y += n
+            if near_j >> y & 1:
+                ends[t::b2] = bytes([1]) * (n // b2)
+                return True
     return False
 
 
 def mark_same_direction(ends: bytearray, n: int, b2: int, j: int, t: int, g: int,
-                        dist: list[int]) -> None:
-    """Layer 2a: mark far ends q of class t with 2q = x1 + x2, D(x1) + D(x2) <= g-3."""
+                        levels: list[int]) -> None:
+    """Layer 2a: mark far ends q of class t with 2q = x1 + x2, D(x1) + D(x2) <= g-3.
+
+    Class t is at odd distance from j, so only odd levels below g-3 hold
+    an x1 or x2; near lists them by distance, then by vertex.
+    """
     limit = g - 3
-    near = sorted((dist[x], x) for x in range(t, n, b2) if 0 <= dist[x] < limit)
+    mask = _class_masks(n, b2)[t]
+    near = [(d, x) for d in range(1, min(limit, len(levels)), 2)
+            for x in _members(levels[d] & mask)]
     half = n // 2
     for i, (d1, x1) in enumerate(near):
         for d2, x2 in near[i:]:
@@ -258,13 +325,13 @@ def mark_same_direction(ends: bytearray, n: int, b2: int, j: int, t: int, g: int
 
 
 def mark_partner_class(ends: bytearray, n: int, b2: int, offsets: list[int], j: int,
-                       t: int, g: int, dist: list[int]) -> None:
+                       t: int, g: int, levels: list[int]) -> None:
     """Add the layer-2 marks of partner class t to the node buffer `ends`.
 
     offsets must be the parent's table: neither j nor t assigned.
     """
-    if not mark_out_and_back(ends, n, b2, offsets, j, t, g, dist):
-        mark_same_direction(ends, n, b2, j, t, g, dist)
+    if not mark_out_and_back(ends, n, b2, offsets, j, t, g, levels):
+        mark_same_direction(ends, n, b2, j, t, g, levels)
 
 
 def has_girth_at_least(partial: "PartialAssignment", g: int) -> bool:

@@ -10,6 +10,9 @@ first computes the sound per-node filters of girth.py (its frontier ball,
 and the two-chord marks of a partner class the first time a candidate of
 that class survives the ball) and hands the rejected far ends to the exact
 check, which then runs its BFS only for the candidates they do not decide.
+The balls and the exact check are one BFS, girth.level_sets, which moves a
+whole level per step as a bit set; parity cuts the frontier ball and the
+exact check to depth g-3 and the ball around a partner class to g-6.
 
 Counters use a fixed accounting that makes certificates mergeable by
 summation: nodes = expansions - conflicts - girth_rejects - sym_skips, and
@@ -276,8 +279,8 @@ class _Kernel:
         self.collect = collect
         # every root value is a candidate at the same node, the bare cycle at
         # j=0, so its buffers (and the class marks they gain) outlive a root
-        ends, dist = frontier_ball(order, self.b2, self.offsets, 0, g)
-        self.root_node = (ends, dist, bytearray(self.b2))
+        ends, levels = frontier_ball(order, self.b2, self.offsets, 0, g)
+        self.root_node = (ends, levels, bytearray(self.b2))
 
     def run_root(self, root: int, budget: int | None):
         self.expansions = 0
@@ -305,14 +308,14 @@ class _Kernel:
             return
         j = offs.index(-1)
         # this node's own buffers: children build theirs and leave these alone
-        ends, dist = frontier_ball(self.n, self.b2, offs, j, self.g)
-        self._try_values(j, self.cand, ends, dist, bytearray(self.b2))
+        ends, levels = frontier_ball(self.n, self.b2, offs, j, self.g)
+        self._try_values(j, self.cand, ends, levels, bytearray(self.b2))
 
-    def _try_values(self, j: int, values, ends: bytearray, dist: list[int],
+    def _try_values(self, j: int, values, ends: bytearray, levels: list[int],
                     built: bytearray):
         """Try each offset in `values` at frontier j, descending into accepted ones.
 
-        ends and dist are the node's frontier_ball; built[t] is set once the
+        ends and levels are the node's frontier_ball; built[t] is set once the
         layer-2 marks of partner class t have been added to ends.
         """
         offs = self.offsets
@@ -344,7 +347,7 @@ class _Kernel:
                 q -= n
             if not ends[q] and not built[t]:
                 built[t] = 1
-                mark_partner_class(ends, n, b2, offs, j, t, g, dist)
+                mark_partner_class(ends, n, b2, offs, j, t, g, levels)
             offs[j] = d
             offs[t] = n - d
             if chord_cycle_shorter_than(n, b2, offs, j, g, ends):

@@ -2,7 +2,8 @@
 
 The brute-force survey is the unpruned reference the search kernel is
 tested against; random patterns feed the property tests.  The edge-removal
-girth is a reference for the oracle's BFS on arbitrary simple graphs.
+girth is a reference for the oracle's BFS on arbitrary simple graphs, and
+the per-vertex distance BFS one for the kernel's bit-set BFS.
 Pattern transforms and search-prefix replay build the inputs of the
 symmetry and predicate tests.  `verified_entry` turns a verification
 report back into a catalog entry with its measured girth.
@@ -146,6 +147,31 @@ def _distance_without_edge(adj, s: int, t: int) -> int | None:
                 return dist[y]
             queue.append(y)
     return None
+
+
+def distances_within(n: int, b2: int, offsets: list[int], root: int, depth: int) -> list[int]:
+    """dist_G(root, x) for every x within `depth`, and -1 beyond it.
+
+    The plain per-vertex BFS that girth.level_sets is tested against.  G is
+    the Hamiltonian cycle plus the chord of every position whose entry in
+    `offsets` is not -1; the chord at `root` itself is never followed.
+    """
+    dist = [-1] * n
+    dist[root] = 0
+    reached = [root]
+    for u in reached:  # grows while it is read: a FIFO queue
+        du = dist[u]
+        if du >= depth:
+            break
+        nbrs = [(u + 1) % n, (u - 1) % n]
+        off = offsets[u % b2]
+        if off >= 0 and u != root:
+            nbrs.append((u + off) % n)
+        for v in nbrs:
+            if dist[v] < 0:
+                dist[v] = du + 1
+                reached.append(v)
+    return dist
 
 
 def apply_transform(transform: PatternTransform, pattern: OffsetPattern) -> OffsetPattern:

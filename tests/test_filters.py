@@ -4,7 +4,10 @@ The kernel decides each candidate with the node's filter marks and, for the
 candidates they leave open, the exact chord BFS.  Here every decision at a
 node is compared with has_girth_at_least on the child assignment, which
 builds the graph explicitly, and every far end each filter rule marks is
-checked to be one the exact BFS rejects on its own.
+checked to be one the exact BFS rejects on its own.  The kernel's bit-set
+BFS is checked against the plain per-vertex BFS of the helpers, and each
+filter rule is checked to mark everything its definition in girth.py
+names, measured with that plain BFS.
 """
 
 import random
@@ -15,10 +18,13 @@ from hbgsearch import has_girth_at_least, search
 from hbgsearch.girth import (
     chord_cycle_shorter_than,
     frontier_ball,
+    level_sets,
     mark_out_and_back,
     mark_same_direction,
 )
 from hbgsearch.search import candidate_values, partial_assignment
+
+from helpers import distances_within
 
 # (g, b, n) up to the criterion-3 range; every n is even with b | n/2
 DIFFERENTIAL_CASES = [
@@ -125,15 +131,15 @@ def test_every_marked_far_end_is_rejected_by_the_exact_bfs(g, b, n):
     cand = set(candidate_values(n))
     marked = {"layer 1": 0, "layer 2a": 0, "layer 2b": 0}
     for offs, j in search_nodes(g, b, n, random.Random(n), limit=60):
-        ball, dist = frontier_ball(n, b2, offs, j, g)
+        ball, levels = frontier_ball(n, b2, offs, j, g)
         rules = {"layer 1": ball}
         for t in range(b2):
             if offs[t] >= 0 or (t - j) % 2 == 0:
                 continue
             rules.setdefault("layer 2b", bytearray(n))
             rules.setdefault("layer 2a", bytearray(n))
-            mark_out_and_back(rules["layer 2b"], n, b2, offs, j, t, g, dist)
-            mark_same_direction(rules["layer 2a"], n, b2, j, t, g, dist)
+            mark_out_and_back(rules["layer 2b"], n, b2, offs, j, t, g, levels)
+            mark_same_direction(rules["layer 2a"], n, b2, j, t, g, levels)
         for rule, ends in rules.items():
             for q in range(n):
                 d, t = (q - j) % n, q % b2
@@ -144,3 +150,112 @@ def test_every_marked_far_end_is_rejected_by_the_exact_bfs(g, b, n):
                 assert chord_cycle_shorter_than(n, b2, child, j, g), (rule, child)
                 marked[rule] += 1
     assert marked["layer 1"] > 0, marked
+
+
+def random_table(rng, b, n):
+    """A random partial offset table: whole involution pairs, girth ignored."""
+    b2 = 2 * b
+    offs = [-1] * b2
+    cand = candidate_values(n)
+    for _ in range(rng.randrange(b + 1)):
+        j = rng.choice([k for k in range(b2) if offs[k] < 0])
+        d = rng.choice(cand)
+        t = (j + d) % b2
+        if offs[t] < 0:
+            offs[j], offs[t] = d, n - d
+    return offs
+
+
+@pytest.mark.parametrize("g", range(4, 15))
+def test_level_sets_equal_the_reference_distances(g):
+    rng = random.Random(1000 + g)
+    roots = {"assigned": 0, "unassigned": 0}
+    for _ in range(12):
+        b = rng.randrange(1, 9)
+        n = 2 * b * rng.randrange(max(2, 4 // b), 384 // (2 * b) + 1)
+        b2 = 2 * b
+        offs = random_table(rng, b, n)
+        root = rng.randrange(n)
+        roots["assigned" if offs[root % b2] >= 0 else "unassigned"] += 1
+        for depth in (g - 6, g - 3, g - 2):
+            ref = distances_within(n, b2, offs, root, depth)
+            levels = level_sets(n, b2, offs, root, depth)
+            assert len(levels) == max(ref) + 1, (g, b, n, offs, root, depth)
+            for k, level in enumerate(levels):
+                assert level == sum(1 << x for x in range(n) if ref[x] == k), (k, offs, root)
+            for stop in {rng.randrange(n), (root + 1) % n, root}:
+                reached = level_sets(n, b2, offs, root, depth, stop)[-1] >> stop & 1
+                assert reached == (ref[stop] >= 0), (offs, root, depth, stop)
+    # the root's own chord, which is never followed, came up both ways
+    assert min(roots.values()) > 0, roots
+
+
+def partner_classes(b2, offs, j):
+    """The classes t a candidate at frontier j can pair with: unassigned, other parity."""
+    return [t for t in range(b2) if offs[t] < 0 and (t - j) % 2 == 1]
+
+
+def test_each_filter_marks_all_its_definition_names():
+    seen = {"layer 1 at g-3": 0, "layer 2b": 0, "layer 2b at l1 = g-6 only": 0, "layer 2a": 0}
+    # at b=1 the classes of j and t hold j+2 and t+2, so only there can a
+    # layer-2b walk need l1 = g-6 (at b >= 2 both l1 and l2 are at least 4)
+    for g, b, n in DIFFERENTIAL_CASES + [(8, 1, 20), (10, 1, 30)]:
+        check_filter_marks(g, b, n, seen)
+    # every rule marked something, and some marks needed the deepest level allowed
+    assert min(seen.values()) > 0, seen
+
+
+def check_filter_marks(g, b, n, seen):
+    """Compare each rule's marks at seeded nodes with its definition, in reference distances."""
+    b2 = 2 * b
+    cand = candidate_values(n)
+    for offs, j in search_nodes(g, b, n, random.Random(n + g), limit=40):
+        dist = distances_within(n, b2, offs, j, n)
+        ends, levels = frontier_ball(n, b2, offs, j, g)
+        # layer 1: every valid far end within g-2 of j in G
+        for d in cand:
+            q = (j + d) % n
+            if offs[q % b2] < 0 and dist[q] <= g - 2:
+                assert ends[q], (offs, j, d)
+                seen["layer 1 at g-3"] += dist[q] == g - 3
+        for t in partner_classes(b2, offs, j):
+            # layer 2b: an out-and-back walk with l1 + l2 <= g-3 marks all of class t
+            from_t = distances_within(n, b2, offs, t, n)
+            walks = [from_t[x] for x in range(t + b2, n, b2)
+                     if from_t[x] + dist[(j + t - x) % n] <= g - 3]
+            marks = bytearray(n)
+            assert mark_out_and_back(marks, n, b2, offs, j, t, g, levels) == bool(walks)
+            assert all(marks[t::b2]) == bool(walks) and sum(marks) == len(walks and marks[t::b2])
+            seen["layer 2b"] += bool(walks)
+            seen["layer 2b at l1 = g-6 only"] += bool(walks) and min(walks) == g - 6
+            # layer 2a: the marks of a brute-force pass over all pairs x1, x2
+            near = [x for x in range(t, n, b2) if dist[x] <= g - 3]
+            expected = bytearray(n)
+            for x1 in near:
+                for x2 in near:
+                    if dist[x1] + dist[x2] <= g - 3:
+                        for q in range(t, n, b2):
+                            if (2 * q - x1 - x2) % n == 0:
+                                expected[q] = 1
+            marks = bytearray(n)
+            mark_same_direction(marks, n, b2, j, t, g, levels)
+            assert marks == expected, (offs, j, t)
+            seen["layer 2a"] += sum(expected)
+
+
+@pytest.mark.parametrize("g, b, n", [(8, 3, 42), (12, 4, 104), (14, 3, 258), (14, 7, 266)])
+def test_exact_check_alone_equals_the_reference_predicate(g, b, n):
+    b2 = 2 * b
+    rng = random.Random(7 * n + g)
+    decided = {True: 0, False: 0}
+    for offs, j in search_nodes(g, b, n, rng, limit=12):
+        for d in rng.sample(candidate_values(n), 12):
+            t = (j + d) % b2
+            if offs[t] >= 0:
+                continue
+            child = list(offs)
+            child[j], child[t] = d, n - d
+            short = chord_cycle_shorter_than(n, b2, child, j, g)
+            assert short != has_girth_at_least(partial_assignment(n // 2, b, _table(child)), g)
+            decided[short] += 1
+    assert min(decided.values()) > 0, decided

@@ -266,3 +266,58 @@ def test_search_count_below_1_is_a_usage_error(option, value, monkeypatch, capsy
     err = capsys.readouterr().err
     assert f"usage error: {option} must be at least 1, got {value}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_resume_node_budget_below_1_is_refused_at_its_line(budget):
+    with pytest.raises(ParseError, match=f"^r:7: node-budget: expected at least 1, got {budget}"):
+        parse_resume(RESUME.replace("node-budget 200000", f"node-budget {budget}"), source="r")
+
+
+BAD_BUDGETS = [("--node-budget", "0"), ("--node-budget", "-3"), ("--wall-budget", "0"),
+               ("--wall-budget", "-1"), ("--wall-budget", "nan"), ("--wall-budget", "inf")]
+BUDGET_RULE = {"--node-budget": "must be at least 1", "--wall-budget": "must be finite and above 0"}
+
+
+@pytest.mark.parametrize("option, value", BAD_BUDGETS)
+def test_search_budget_out_of_range_is_a_usage_error(option, value, monkeypatch, tmp_path,
+                                                    capsys):
+    monkeypatch.setattr(cli, "min_order", None)  # calling it would raise
+    argv = ["search", "--girth", "6", "--sym", "1", "--min", "14", "--max", "14",
+            "--out", str(tmp_path / "out"), "--quiet", option, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {option} {BUDGET_RULE[option]}, got {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option, value", BAD_BUDGETS)
+def test_resume_budget_out_of_range_is_a_usage_error(option, value, monkeypatch, tmp_path,
+                                                    capsys):
+    monkeypatch.setattr(cli, "enumerate_order", None)  # calling it would raise
+    path = tmp_path / "g14_n266_b7.resume"
+    path.write_text(RESUME, encoding="ascii")
+    assert main(["search", "--resume", str(path), "--quiet", option, value]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {option} {BUDGET_RULE[option]}, got {value}" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [path] and path.read_text(encoding="ascii") == RESUME
+
+
+@pytest.mark.parametrize("option", ["--radius", "--vertex-radius"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+def test_render_size_must_be_finite_and_positive(option, value, tmp_path, capsys):
+    path = tmp_path / "w.hbg"
+    path.write_text(WITNESS, encoding="ascii")
+    assert main(["render", str(path), "--out", str(tmp_path / "w.svg"), option, value]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {option} must be finite and above 0, got " in err
+    assert not (tmp_path / "w.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["table", "report"])
+def test_descending_sym_range_is_a_usage_error(command, tmp_path, capsys):
+    (tmp_path / "x.cert").write_text(CERT, encoding="ascii")
+    assert main([command, "--girth", "6", "--dir", str(tmp_path), "--sym", "5-3"]) == 1
+    assert "usage error: --sym: '5-3' is an empty range" in capsys.readouterr().err
