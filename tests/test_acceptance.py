@@ -259,9 +259,9 @@ def test_nonmonotonicity_cross_check(capsys):
 @pytest.mark.skipif(not os.environ.get("HBG_STRETCH"),
                     reason="long-running rediscovery attempt; set HBG_STRETCH=1")
 def test_criterion_10_stretch_record_rediscovery(capsys):
-    # with the orbit reduction this lands in under half a minute (the first
-    # hit sits below root offset 15); still excluded from the default suite
-    # by design
+    # with the orbit reduction this lands in about 6 s on a 2-core Xeon (the
+    # first hit sits below root offset 15); still excluded from the default
+    # suite by design
     budget = int(os.environ.get("HBG_STRETCH_BUDGET", "30000000"))
     spec = SearchSpec(g=14, b=8, orders=(384,), mode="first", node_budget=budget,
                       reduction=True)

@@ -190,11 +190,6 @@ def test_level_sets_equal_the_reference_distances(g):
     assert min(roots.values()) > 0, roots
 
 
-def partner_classes(b2, offs, j):
-    """The classes t a candidate at frontier j can pair with: unassigned, other parity."""
-    return [t for t in range(b2) if offs[t] < 0 and (t - j) % 2 == 1]
-
-
 def test_each_filter_marks_all_its_definition_names():
     seen = {"layer 1 at g-3": 0, "layer 2b": 0, "layer 2b at l1 = g-6 only": 0, "layer 2a": 0}
     # at b=1 the classes of j and t hold j+2 and t+2, so only there can a
@@ -218,14 +213,17 @@ def check_filter_marks(g, b, n, seen):
             if offs[q % b2] < 0 and dist[q] <= g - 2:
                 assert ends[q], (offs, j, d)
                 seen["layer 1 at g-3"] += dist[q] == g - 3
-        for t in partner_classes(b2, offs, j):
+        for t in range(b2):
+            if offs[t] >= 0 or (t - j) % 2 == 0:
+                continue  # not a partner class of j
             # layer 2b: an out-and-back walk with l1 + l2 <= g-3 marks all of class t
             from_t = distances_within(n, b2, offs, t, n)
             walks = [from_t[x] for x in range(t + b2, n, b2)
                      if from_t[x] + dist[(j + t - x) % n] <= g - 3]
-            marks = bytearray(n)
+            marks, whole_class = bytearray(n), bytearray(n)
+            whole_class[t::b2] = bytes([1]) * (n // b2)
             assert mark_out_and_back(marks, n, b2, offs, j, t, g, levels) == bool(walks)
-            assert all(marks[t::b2]) == bool(walks) and sum(marks) == len(walks and marks[t::b2])
+            assert marks == (whole_class if walks else bytearray(n)), (offs, j, t)
             seen["layer 2b"] += bool(walks)
             seen["layer 2b at l1 = g-6 only"] += bool(walks) and min(walks) == g - 6
             # layer 2a: the marks of a brute-force pass over all pairs x1, x2
