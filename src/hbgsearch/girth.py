@@ -3,12 +3,15 @@
 There are two BFS loops, one reference and one for the kernel.
 
 - _shortest_cycle is the reference: an array BFS over an explicit
-  adjacency list, kept as plain as possible (each root's BFS stops once it
-  cannot close a cycle shorter than the best found so far).  girth_oracle
-  runs it from every vertex.  girth_fast and has_girth_at_least run it
-  from the 2b class representatives only: every vertex class mod 2b has
-  the same neighbourhood structure, so a shortest cycle passes through one
-  of them.  girth_fast agreeing with girth_oracle is a tested contract.
+  adjacency list, kept as plain as possible.  Each root's BFS walks only
+  the vertices at or above the root, since a cycle lies at or above its
+  least vertex, and stops once it cannot close a cycle shorter than the
+  best found so far.  girth_oracle runs it from every vertex.  girth_fast
+  and has_girth_at_least run it from the 2b class representatives only:
+  rotation by 2b maps the graph to itself, and shifting a cycle down by a
+  multiple of 2b puts its least vertex in 0..2b-1 without wrapping, so
+  the shifted cycle still lies at or above that vertex.  girth_fast
+  agreeing with girth_oracle is a tested contract.
 - level_sets is the kernel's BFS over the offset table itself, with no
   adjacency list built.  Each BFS level is one n-bit Python int (bit x set
   means vertex x), so a step is a fixed number of big-int operations, not
@@ -67,7 +70,11 @@ earlier than the rules read, with no decision changed:
 - in layer 2b, x shares t's class and j + t - x shares j's, so l1 and l2 are
   even, and x != t makes both at least 2; l1 + l2 <= g-3 then means
   l1 + l2 <= g-4, so l1 <= g-6: the ball from t goes to depth g-6, and l2
-  is read from j's levels up to g-4-l1;
+  is read from j's levels up to g-4-l1.  When b >= 2, t +- 2 and j +- 2
+  are in other classes, and no path of length 2 reaches t's or j's class
+  through a chord either: neither class is assigned, so no chord has its
+  far end there.  Then l1 and l2 are at least 4, so l1 <= g-8 and the
+  ball from t goes to depth g-8;
 - in layer 2a, x1 and x2 share t's class, at odd distance from j, so only
   the odd levels below g-3 hold them.
 """
@@ -116,13 +123,23 @@ def girth_oracle(graph: ExpandedGraph, cap: int) -> GirthResult:
     cycle of length <= cap.  A root's BFS also stops at the first vertex of
     depth du with 2*du >= best: a non-tree edge met while expanding it
     closes a walk of length at least 2*du, so nothing below can beat best
-    (Itai & Rodeh, SIAM J. Comput. 7, 1978).
+    (Itai & Rodeh, SIAM J. Comput. 7, 1978).  A root's BFS walks only the
+    vertices at or above it: a shortest cycle lies at or above its least
+    vertex r, so the BFS from r still finds it, and every closed walk a
+    BFS finds is a closed walk of the whole graph that contains a cycle,
+    so no value comes out too short.
     """
     return _shortest_cycle(graph.adjacency, range(graph.order), cap)
 
 
 def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
-    """Shortest cycle through any of `roots`, as girth_oracle describes."""
+    """Shortest cycle among those whose least vertex is one of `roots`.
+
+    Each root's BFS walks only the vertices >= root, as girth_oracle
+    describes.  The value is exact when a shortest cycle, or its image
+    under an automorphism, has its least vertex among the roots; it is
+    never shorter than the girth.
+    """
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     depth_cap = (cap + 1) // 2
@@ -140,7 +157,7 @@ def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
             pu = parent[u]
             nd = du + 1
             for v in adj[u]:
-                if v == pu:
+                if v == pu or v < root:
                     continue
                 dv = dist[v]
                 if dv < 0:
@@ -157,10 +174,12 @@ def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
 def girth_fast(pattern: OffsetPattern, cap: int) -> GirthResult:
     """Girth of the expanded pattern using only the 2b class representatives.
 
-    Every vertex is mapped onto its class representative by a rotation of
-    the cycle by a multiple of 2b, which is an automorphism of the expanded
-    graph, so a shortest cycle always passes through one of the roots
-    0..2b-1.  Agrees exactly with girth_oracle(expand(pattern), cap).
+    Rotation of the cycle by a multiple of 2b is an automorphism of the
+    expanded graph.  A shortest cycle with least vertex r, shifted down by
+    r - (r mod 2b), has least vertex r mod 2b in 0..2b-1, and none of its
+    vertices wraps below 0, so the BFS from that root, which walks only
+    vertices at or above it, finds it.  Agrees exactly with
+    girth_oracle(expand(pattern), cap).
     """
     return _shortest_cycle(expand(pattern).adjacency, range(pattern.positions), cap)
 
@@ -280,9 +299,10 @@ def mark_out_and_back(ends: bytearray, n: int, b2: int, offsets: list[int], j: i
 
     x and t share a class and y = j + t - x shares j's, so l1 and l2 are
     even and at least 2: l1 + l2 <= g-3 means l1 <= g-6 and l2 <= g-4-l1.
+    When b >= 2 both are at least 4 (module docstring), so l1 <= g-8.
     """
     mask = _class_masks(n, b2)[t]
-    from_t = level_sets(n, b2, offsets, t, g - 6)
+    from_t = level_sets(n, b2, offsets, t, g - 6 if b2 == 2 else g - 8)
     for l1 in range(2, len(from_t), 2):
         xs = from_t[l1] & mask
         if not xs:
@@ -343,7 +363,8 @@ def has_girth_at_least(partial: "PartialAssignment", g: int) -> bool:
     False, every extension and every larger g stays False.  The graph is
     built explicitly and searched by the oracle's BFS from the 2b class
     representatives only: rotation by 2b maps the graph to itself, so every
-    cycle has a rotated copy through one of them.
+    cycle has a rotated copy whose least vertex is one of them, as
+    girth_fast describes.
     """
     if g <= 3:
         return True

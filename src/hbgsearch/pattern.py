@@ -161,7 +161,7 @@ def expansion_defects(graph: ExpandedGraph) -> list[str]:
         for v in nbrs:
             if v == i:
                 defects.append(f"vertex {i + 1} has a loop")
-            key = (min(i, v), max(i, v))
+            key = (i, v) if i < v else (v, i)
             edges[key] = edges.get(key, 0) + 1
     for (u, v), count in edges.items():
         if count != 2:

@@ -119,15 +119,17 @@ def _random_offsets(rng, m: int, b: int) -> list[int] | None:
 
 
 def edge_removal_girth(adj) -> int | None:
-    """Girth of a simple graph: 1 + min over edges uv of dist(u, v) in G - uv.
+    """Girth of a graph: 1 + min over edges uv of dist(u, v) in G - uv.
 
+    G - uv removes one copy of uv, so a loop (v listed once in adj[v]) is a
+    cycle of length 1 and an edge listed twice is a cycle of length 2.
     None for a forest.  Independent of the oracle: one plain BFS per edge,
     with no parent-edge exclusion and no stop rule.
     """
     best = None
     for u, nbrs in enumerate(adj):
         for v in nbrs:
-            if u < v:
+            if u <= v:
                 d = _distance_without_edge(adj, u, v)
                 if d is not None and (best is None or d + 1 < best):
                     best = d + 1
@@ -135,6 +137,10 @@ def edge_removal_girth(adj) -> int | None:
 
 
 def _distance_without_edge(adj, s: int, t: int) -> int | None:
+    if s == t:
+        return 0
+    if adj[s].count(t) > 1:
+        return 1
     dist = {s: 0}
     queue = deque([s])
     while queue:

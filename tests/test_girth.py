@@ -135,6 +135,55 @@ def test_stop_rule_against_edge_removal_reference():
                     "degree 1", "degree 2", "degree 3", "degree 4"}
 
 
+def _rotation_invariant_graph(rng, n: int, b2: int) -> list[list[int]]:
+    """The n-cycle plus one chord orbit for some classes mod b2.
+
+    Class c with offset d adds the edge {i, i + d} for every i = c (mod b2),
+    so rotation by b2 maps the graph to itself.  Offsets of either parity
+    (an even one closes odd cycles), 0 (a loop) and +-1 (a doubled cycle
+    edge) all occur, and a class with no offset leaves vertices of degree 2
+    unless another orbit reaches them.
+    """
+    adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    for c in range(b2):
+        if rng.random() < 0.5:
+            continue
+        d = rng.randrange(2, n - 1) if rng.random() < 0.9 else rng.choice((0, 1, n - 1))
+        for i in range(c, n, b2):
+            v = (i + d) % n
+            adj[i].append(v)
+            if v != i:
+                adj[v].append(i)
+    for nbrs in adj:
+        rng.shuffle(nbrs)
+    return adj
+
+
+def test_least_vertex_rule_under_rotation():
+    """Roots 0..b2-1 see every cycle of a graph that rotation by b2 preserves.
+
+    Each root's BFS walks only vertices at or above it.  Shifting a cycle
+    by a multiple of b2 puts its least vertex among the roots without
+    wrapping, so the shifted cycle lies at or above that root.
+    """
+    rng = random.Random(2 * 1978)
+    seen = set()
+    for _ in range(1500):
+        b2 = 2 * rng.randrange(1, 5)
+        n = b2 * rng.randrange(2 if b2 == 2 else 1, 30 // b2 + 1)
+        adj = _rotation_invariant_graph(rng, n, b2)
+        girth = edge_removal_girth(adj)
+        for cap in range(3, n + 2):
+            want = GirthResult(girth if girth <= cap else None, cap)
+            assert _shortest_cycle(adj, range(b2), cap) == want, (adj, b2, cap)
+            assert _shortest_cycle(adj, range(n), cap) == want, (adj, cap)
+        seen.add("loop" if girth == 1 else "doubled edge" if girth == 2
+                 else "odd girth" if girth % 2 else "even girth")
+        seen.update(f"degree {len(nbrs)}" for nbrs in adj)
+    assert seen >= {"loop", "doubled edge", "odd girth", "even girth",
+                    "degree 2", "degree 3", "degree 4"}
+
+
 class TestPruningPredicate:
     def test_empty_assignment(self):
         empty = partial_assignment(10, 2, [None] * 4)

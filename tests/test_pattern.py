@@ -3,6 +3,7 @@ import pytest
 from hbgsearch import (
     DegenerateChordError,
     DivisibilityError,
+    ExpandedGraph,
     LengthError,
     MatchingError,
     ParityError,
@@ -117,6 +118,64 @@ class TestExpand:
             g = expand(p)
             for i, (_, _, chord) in enumerate(g.adjacency):
                 assert g.adjacency[chord][2] == i
+
+
+def _edited(graph: ExpandedGraph, rows: dict[int, tuple[int, ...]]) -> ExpandedGraph:
+    """The graph with the given 0-based adjacency rows replaced."""
+    adj = list(graph.adjacency)
+    for i, row in rows.items():
+        adj[i] = row
+    return ExpandedGraph(order=graph.order, adjacency=tuple(adj))
+
+
+def _cycle_plus(n: int, chords) -> ExpandedGraph:
+    """The labelled n-cycle plus the given chords, each listed from both ends."""
+    adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    for u, v in chords:
+        adj[u].append(v)
+        adj[v].append(u)
+    return ExpandedGraph(order=n, adjacency=tuple(map(tuple, adj)))
+
+
+_K33 = expand(validate_pattern(3, 1, [3, 3]))
+_HEAWOOD = expand(validate_pattern(7, 1, [5, 9]))  # chords i+5 (i even), i+9 (i odd), n=14
+_CUBE = expand(validate_pattern(4, 1, [3, 5]))     # chords 0-3, 1-6, 2-5, 4-7
+
+
+@pytest.mark.parametrize("graph, defects", [
+    pytest.param(ExpandedGraph(order=7, adjacency=_K33.adjacency + ((5, 0, 3),)),
+                 ["order 7 is not an even integer >= 6"], id="odd-order"),
+    pytest.param(ExpandedGraph(order=6, adjacency=_K33.adjacency[:5]),
+                 ["adjacency has 5 rows for order 6"], id="row-count"),
+    pytest.param(_edited(_HEAWOOD, {0: (13, 1)}),
+                 ["vertex 1 has degree 2",
+                  "edge 1-2 seen from 1 endpoint(s), expected 2",
+                  "edge 1-6 seen from 1 endpoint(s), expected 2",
+                  "edge 1-14 seen from 1 endpoint(s), expected 2"], id="degree-2"),
+    pytest.param(_edited(_HEAWOOD, {0: (13, 1, 1)}),
+                 ["vertex 1 has a repeated neighbour (parallel edge)",
+                  "edge 1-2 seen from 3 endpoint(s), expected 2",
+                  "edge 1-6 seen from 1 endpoint(s), expected 2"], id="repeated-neighbour"),
+    pytest.param(_edited(_HEAWOOD, {0: (13, 1, 0)}),
+                 ["vertex 1 has a loop",
+                  "edge 1-1 seen from 1 endpoint(s), expected 2",
+                  "edge 1-1 joins two same-parity vertices",
+                  "edge 1-6 seen from 1 endpoint(s), expected 2"], id="loop"),
+    # edges are reported in the order their keys were first met: 1-8 from
+    # vertex 1 comes before 1-6, which only vertex 6 lists
+    pytest.param(_edited(_HEAWOOD, {0: (13, 1, 7)}),
+                 ["edge 1-8 seen from 1 endpoint(s), expected 2",
+                  "edge 1-6 seen from 1 endpoint(s), expected 2"], id="one-sided-edge"),
+    pytest.param(_cycle_plus(10, [(0, 2), (5, 7), (1, 4), (3, 8), (6, 9)]),
+                 ["edge 1-3 joins two same-parity vertices",
+                  "edge 6-8 joins two same-parity vertices"], id="same-parity-edge"),
+    # cycle edges 0-1 and 4-5 swapped for 0-5 and 1-4: still 3-regular and bipartite
+    pytest.param(_edited(_CUBE, {0: (7, 5, 3), 1: (4, 2, 6), 4: (3, 1, 7), 5: (0, 6, 2)}),
+                 ["Hamiltonian cycle edge 1-2 missing",
+                  "Hamiltonian cycle edge 5-6 missing"], id="missing-cycle-edge"),
+])
+def test_expansion_defects_lists_every_fault_in_order(graph, defects):
+    assert expansion_defects(graph) == defects
 
 
 class TestDerivedFactors:
