@@ -82,7 +82,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--step", type=int, default=2, help="order stride (default 2)")
     s.add_argument("--mode", default="first",
                    help="first|all|count|prove (default first)")
-    s.add_argument("--shards", type=int, default=1, help="worker pool size")
+    s.add_argument("--shards", type=int, default=1,
+                   help="shards per order; above 1, also the worker process count")
     s.add_argument("--node-budget", type=int, default=None,
                    help="abort after this many candidate expansions")
     s.add_argument("--wall-budget", type=float, default=None,
@@ -217,6 +218,9 @@ def cmd_search(args) -> int:
             raise _UsageError(f"{name} must be at least 1, got {val}")
     _require_finite_positive("--wall-budget", args.wall_budget)
     if args.resume:
+        if args.shards > 1:
+            raise _UsageError(f"--shards {args.shards}: --resume runs its pending "
+                              "ranges in one process; leave --shards out")
         return _run_resume(args)
     missing = [name for name, val in (("--girth", args.girth), ("--sym", args.sym),
                                       ("--min", args.min_order), ("--max", args.max_order))

@@ -172,8 +172,9 @@ def expansion_defects(graph: ExpandedGraph) -> list[str]:
         j = (i + 1) % n
         if j not in adj[i]:
             defects.append(f"Hamiltonian cycle edge {i + 1}-{j + 1} missing")
-    if not defects and len(edges) != 3 * n // 2:
-        defects.append(f"{len(edges)} edges, expected {3 * n // 2}")
+    # the edge count needs no check of its own: with no defect, every row
+    # holds three distinct neighbours, so there are 3n row entries, and every
+    # key is seen exactly twice, so there are 3n/2 edges
     return defects
 
 

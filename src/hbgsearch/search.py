@@ -22,7 +22,9 @@ counters describe.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
@@ -628,16 +630,31 @@ def _shard_worker(payload):
                            deadline=deadline)
 
 
-class _ScanPool:
-    """The worker pool of one scan, forked by the first order that needs it.
+def _shard_payloads(spec: SearchSpec, order: int, ranges: list[ShardRange],
+                    remaining: int | None, deadline: float | None) -> list[tuple]:
+    """One `_shard_worker` task per range; the node budget left is split evenly."""
+    per_shard = None if remaining is None else max(1, remaining // len(ranges))
+    # perf_counter is the system-wide monotonic clock (CLOCK_MONOTONIC on
+    # Linux), so pool workers can compare against this process's deadline
+    return [(spec, order, rng, per_shard, deadline) for rng in ranges]
 
-    Leaving the `with` block terminates and joins the workers, on every exit
-    path; a scan that never dispatches shards never forks.
+
+class _ScanPool:
+    """The worker pool of one scan, forked by the first shards sent to it.
+
+    `send_ahead` streams the shards of many orders through one chunked
+    imap, and `imap_shards` reads each order's results from that stream
+    when its payloads are the next ones sent; any other payloads get an
+    imap of their own.  Leaving the `with` block terminates and joins the
+    workers on every exit path, which drops every shard sent and not read;
+    a scan that never sends shards never forks.
     """
 
     def __init__(self, processes: int | None):
         self.processes = processes
         self._pool = None
+        self._ahead: collections.deque = collections.deque()
+        self._stream = None
 
     def __enter__(self):
         return self
@@ -647,11 +664,24 @@ class _ScanPool:
             self._pool.terminate()
             self._pool.join()
 
-    def imap_shards(self, payloads):
-        """Run `_shard_worker` on each payload; results arrive in payload order."""
+    def _started(self):
         if self._pool is None:
             self._pool = multiprocessing.Pool(self.processes)
-        return self._pool.imap(_shard_worker, payloads)
+        return self._pool
+
+    def send_ahead(self, payloads: list[tuple]):
+        """Start every payload now, in about 8 chunks per process; call once."""
+        chunk = max(1, len(payloads) // (8 * self.processes))
+        self._ahead = collections.deque(payloads)
+        self._stream = self._started().imap(_shard_worker, payloads, chunk)
+
+    def imap_shards(self, payloads: list[tuple]):
+        """Run `_shard_worker` on each payload; results arrive in payload order."""
+        if list(itertools.islice(self._ahead, len(payloads))) == payloads:
+            for _ in payloads:
+                self._ahead.popleft()
+            return itertools.islice(self._stream, len(payloads))
+        return self._started().imap(_shard_worker, payloads)
 
 
 def enumerate_order_sharded(
@@ -673,10 +703,12 @@ def enumerate_order_sharded(
     value range, which equals the serial answer.  A spent budget or a passed
     deadline skips the pool: the in-process call leaves every shard pending.
 
-    `pool` is the scan's pool when `min_order` calls this for each order;
-    without one, a pooled call starts its own pool and closes it on return.
-    Pooled progress fires once per finished shard, in shard order, with the
-    roots its certificate covers.
+    `pool` is the scan's pool when `min_order` calls this for each order,
+    and the order's shards may already be running there: this call then
+    reads their results from the scan's stream and stays the order's merge
+    point.  Without a pool, a pooled call starts its own and closes it on
+    return.  Pooled progress fires once per shard as its result is read, in
+    shard order, with the roots its certificate covers.
     """
     ranges = partition(spec, order, shards)
     if budget is None:
@@ -685,12 +717,7 @@ def enumerate_order_sharded(
     if len(ranges) == 1 or not processes or processes <= 1 or _out_of_work(budget, deadline):
         return enumerate_order(spec, order, ranges=ranges, budget=budget, deadline=deadline,
                                progress=progress)
-    per_shard = None
-    if budget.remaining is not None:
-        per_shard = max(1, budget.remaining // len(ranges))
-    # perf_counter is the system-wide monotonic clock (CLOCK_MONOTONIC on
-    # Linux), so pool workers can compare against this process's deadline
-    payloads = [(spec, order, rng, per_shard, deadline) for rng in ranges]
+    payloads = _shard_payloads(spec, order, ranges, budget.remaining, deadline)
     roots = root_values(order, spec.reduction)
     parts = []
     done = expansions = 0
@@ -714,10 +741,16 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
     One node budget and one wall deadline are shared by the whole scan.
     Once an order breaches either, the budget is marked spent, so every
     later order is reported undecided with its full root span pending.
-    One worker pool serves every pooled order of the scan: the first order
-    that dispatches shards forks it, and it is closed when the scan returns
-    or raises.  Progress callbacks fire after each root for in-process
-    searches, sharded ones included, and after each shard for pooled orders.
+    One worker pool serves every pooled order of the scan, and is closed
+    when the scan returns or raises.  Without a node budget, the shards of
+    every order whose partition has more than one range are sent to it when
+    the scan starts, so no order waits for the previous order's slowest
+    shard; shards sent past a first-witness halt or a deadline are dropped
+    when the pool closes.  With a node budget, an order's shard budgets
+    depend on what earlier orders spent, so each pooled order sends its
+    shards when it starts.  Progress callbacks fire after each root for
+    in-process searches, sharded ones included, and after each shard for
+    pooled orders.
     """
     if list(spec.orders) != sorted(set(spec.orders)):
         raise ValueError("orders must be strictly ascending")
@@ -726,6 +759,17 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
     outcomes: list[OrderOutcome] = []
     minimal = None
     with _ScanPool(processes) as pool:
+        if processes and processes > 1 and spec.node_budget is None \
+                and not _out_of_work(budget, deadline):
+            # no order's shard budget depends on what earlier orders spent,
+            # so every pooled order's shards go out now, in one stream
+            ahead = []
+            for order in spec.orders:
+                ranges = partition(spec, order, shards)
+                if len(ranges) > 1:
+                    ahead += _shard_payloads(spec, order, ranges, None, deadline)
+            if ahead:
+                pool.send_ahead(ahead)
         for order in spec.orders:
             # an order the scan cannot start stays pending as one full-span range
             order_shards = 1 if _out_of_work(budget, deadline) else shards

@@ -305,6 +305,18 @@ def test_resume_budget_out_of_range_is_a_usage_error(option, value, monkeypatch,
     assert sorted(tmp_path.iterdir()) == [path] and path.read_text(encoding="ascii") == RESUME
 
 
+@pytest.mark.parametrize("shards", ["2", "8"])
+def test_resume_with_shards_is_a_usage_error(shards, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "enumerate_order", None)  # calling it would raise
+    path = tmp_path / "g14_n266_b7.resume"
+    path.write_text(RESUME, encoding="ascii")
+    assert main(["search", "--resume", str(path), "--quiet", "--shards", shards]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: --shards {shards}: --resume runs its pending ranges" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [path] and path.read_text(encoding="ascii") == RESUME
+
+
 @pytest.mark.parametrize("option", ["--radius", "--vertex-radius"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
 def test_render_size_must_be_finite_and_positive(option, value, tmp_path, capsys):

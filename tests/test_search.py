@@ -388,6 +388,85 @@ class TestScanPool:
         assert started_pools and multiprocessing.active_children() == []
 
 
+@pytest.fixture
+def imap_calls(monkeypatch):
+    """Every `imap` call on a pool the search starts, as [payloads sent,
+    results read]."""
+    real = search.multiprocessing.Pool
+    calls = []
+
+    def counting_pool(*args, **kwargs):
+        pool = real(*args, **kwargs)
+        real_imap = pool.imap
+
+        def imap(func, payloads, *rest):
+            payloads = list(payloads)
+            call = [len(payloads), 0]
+            calls.append(call)
+            for result in real_imap(func, payloads, *rest):
+                call[1] += 1
+                yield result
+
+        pool.imap = imap
+        return pool
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", counting_pool)
+    return calls
+
+
+class TestStreamedShards:
+    orders = (30, 36, 42)
+
+    def test_one_imap_per_scan_without_a_node_budget(self, imap_calls):
+        spec = spec_for(8, 3, self.orders, mode="prove")
+        out = min_order(spec, shards=3, processes=2)
+        assert imap_calls == [[9, 9]]
+        assert [oc.certificate for oc in out.per_order] == \
+            [oc.certificate for oc in min_order(spec).per_order]
+        # a node budget is split per order as the order starts: one imap each
+        imap_calls.clear()
+        budgeted = spec_for(8, 3, self.orders, mode="prove", node_budget=10**9)
+        out = min_order(budgeted, shards=3, processes=2)
+        assert imap_calls == [[3, 3]] * 3
+        assert [oc.certificate for oc in out.per_order] == \
+            [oc.certificate for oc in min_order(budgeted).per_order]
+
+    def test_first_witness_scan_returns_the_serial_outcome(self, imap_calls):
+        # orders 30 and 42 both have witnesses; the scan must stop at 30
+        spec = spec_for(8, 3, self.orders, mode="first")
+        out = min_order(spec, shards=3, processes=2)
+        serial = min_order(spec)
+        assert out.minimal_order == serial.minimal_order == 30
+        assert [(oc.order, oc.status, [w.pattern.offsets for w in oc.witnesses])
+                for oc in out.per_order] == \
+            [(oc.order, oc.status, [w.pattern.offsets for w in oc.witnesses])
+             for oc in serial.per_order]
+        # every order's shards went out; only order 30's results were read,
+        # and the rest were dropped with the pool
+        assert imap_calls == [[9, 3]]
+        assert multiprocessing.active_children() == []
+
+    def test_shards_sent_past_a_deadline_are_dropped(self, imap_calls, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the injected clock reaches pool workers only by fork")
+        scan_pid = os.getpid()
+        real = time.perf_counter
+
+        class Clock:  # pool workers start an hour after the scan does
+            @staticmethod
+            def perf_counter():
+                return real() + (0 if os.getpid() == scan_pid else 3600)
+
+        monkeypatch.setattr(search, "time", Clock)
+        spec = spec_for(8, 3, self.orders, mode="prove", wall_budget_s=60)
+        out = min_order(spec, shards=3, processes=2)
+        assert [oc.status for oc in out.per_order] == ["undecided"] * 3
+        assert all(oc.certificate.expansions == 0 for oc in out.per_order)
+        # order 30's shards breach the deadline; 36 and 42 never read theirs
+        assert imap_calls == [[9, 3]]
+        assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("shards, processes", [(1, None), (2, None), (2, 2)])
 def test_orders_below_the_girth_need_no_search(shards, processes):
     # a Hamiltonian cycle of 8 or 10 vertices already has girth below 12
