@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Callable
 
@@ -295,7 +294,7 @@ class LowerBoundConfig:
 
     @classmethod
     def default(cls) -> "LowerBoundConfig":
-        text = resources.files("hbgsearch").joinpath("data/lower_bounds.txt").read_text("ascii")
+        text = (Path(__file__).parent / "data" / "lower_bounds.txt").read_text("ascii")
         return cls.from_text(text, source="hbgsearch/data/lower_bounds.txt")
 
 

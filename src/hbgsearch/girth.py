@@ -6,12 +6,16 @@ There are two BFS loops, one reference and one for the kernel.
   adjacency list, kept as plain as possible.  Each root's BFS walks only
   the vertices at or above the root, since a cycle lies at or above its
   least vertex, and stops once it cannot close a cycle shorter than the
-  best found so far.  girth_oracle runs it from every vertex.  girth_fast
-  and has_girth_at_least run it from the 2b class representatives only:
-  rotation by 2b maps the graph to itself, and shifting a cycle down by a
-  multiple of 2b puts its least vertex in 0..2b-1 without wrapping, so
-  the shifted cycle still lies at or above that vertex.  girth_fast
-  agreeing with girth_oracle is a tested contract.
+  best found so far.  When every edge joins an even and an odd label, as
+  in every pattern graph, it stops one level earlier: every cycle is then
+  even, and one shorter than the best is found while expanding a depth
+  below best/2 - 1 (girth_oracle gives the proof).  girth_oracle runs it
+  from every vertex.  girth_fast and has_girth_at_least run it from the
+  2b class representatives only: rotation by 2b maps the graph to itself,
+  and shifting a cycle down by a multiple of 2b puts its least vertex in
+  0..2b-1 without wrapping, so the shifted cycle still lies at or above
+  that vertex.  girth_fast agreeing with girth_oracle is a tested
+  contract.
 - level_sets is the kernel's BFS over the offset table itself, with no
   adjacency list built.  Each BFS level is one n-bit Python int (bit x set
   means vertex x), so a step is a fixed number of big-int operations, not
@@ -123,11 +127,18 @@ def girth_oracle(graph: ExpandedGraph, cap: int) -> GirthResult:
     cycle of length <= cap.  A root's BFS also stops at the first vertex of
     depth du with 2*du >= best: a non-tree edge met while expanding it
     closes a walk of length at least 2*du, so nothing below can beat best
-    (Itai & Rodeh, SIAM J. Comput. 7, 1978).  A root's BFS walks only the
-    vertices at or above it: a shortest cycle lies at or above its least
-    vertex r, so the BFS from r still finds it, and every closed walk a
-    BFS finds is a closed walk of the whole graph that contains a cycle,
-    so no value comes out too short.
+    (Itai & Rodeh, SIAM J. Comput. 7, 1978).  When every edge joins an even
+    and an odd label, the BFS stops at the first depth du with
+    2*du + 2 >= best instead.  Every cycle is then even, and a vertex's
+    depth has the parity of its label minus the root's, so every edge the
+    BFS meets joins consecutive depths.  A cycle of length L < best through
+    the root lies within depth L/2, and not all of its edges are tree
+    edges, so one of them is met while expanding its lower end, at a depth
+    at most L/2 - 1 < best/2 - 1; that edge closes a walk of length at most
+    L.  A root's BFS walks only the vertices at or above it: a shortest
+    cycle lies at or above its least vertex r, so the BFS from r still
+    finds it, and every closed walk a BFS finds is a closed walk of the
+    whole graph that contains a cycle, so no value comes out too short.
     """
     return _shortest_cycle(graph.adjacency, range(graph.order), cap)
 
@@ -135,24 +146,28 @@ def girth_oracle(graph: ExpandedGraph, cap: int) -> GirthResult:
 def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
     """Shortest cycle among those whose least vertex is one of `roots`.
 
-    Each root's BFS walks only the vertices >= root, as girth_oracle
-    describes.  The value is exact when a shortest cycle, or its image
-    under an automorphism, has its least vertex among the roots; it is
-    never shorter than the girth.
+    Each root's BFS walks only the vertices >= root and stops as
+    girth_oracle describes.  The value is exact when a shortest cycle, or
+    its image under an automorphism, has its least vertex among the roots;
+    it is never shorter than the girth.
     """
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     depth_cap = (cap + 1) // 2
+    # 2 when every edge joins an even and an odd label, so every cycle is even
+    slack = 2 if all((u ^ v) & 1 for u, nbrs in enumerate(adj) for v in nbrs) else 0
     dist = [-1] * len(adj)
     parent = [-1] * len(adj)
     best = cap + 1  # a cycle longer than cap is never reported
+    # the least depth du with du >= depth_cap or 2*du + slack >= best
+    stop = min(depth_cap, (best - slack + 1) // 2)
     for root in roots:
         dist[root] = 0
         parent[root] = -1
         reached = [root]
         for u in reached:  # grows while it is read: a FIFO queue
             du = dist[u]
-            if du >= depth_cap or 2 * du >= best:
+            if du >= stop:
                 break
             pu = parent[u]
             nd = du + 1
@@ -166,6 +181,7 @@ def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
                     reached.append(v)
                 elif du + dv + 1 < best:
                     best = du + dv + 1
+                    stop = min(depth_cap, (best - slack + 1) // 2)
         for v in reached:
             dist[v] = -1
     return GirthResult(value=best if best <= cap else None, cap=cap)

@@ -152,11 +152,16 @@ def expansion_defects(graph: ExpandedGraph) -> list[str]:
         defects.append(f"adjacency has {len(adj)} rows for order {n}")
         return defects
     edges: dict[tuple[int, int], int] = {}
+    gaps: list[str] = []  # missing cycle edges, listed after every edge defect
     for i, nbrs in enumerate(adj):
+        j = i + 1 if i + 1 < n else 0
+        if j not in nbrs:
+            gaps.append(f"Hamiltonian cycle edge {i + 1}-{j + 1} missing")
         if len(nbrs) != 3:
             defects.append(f"vertex {i + 1} has degree {len(nbrs)}")
             continue
-        if len(set(nbrs)) != 3:
+        x, y, z = nbrs
+        if x == y or x == z or y == z:
             defects.append(f"vertex {i + 1} has a repeated neighbour (parallel edge)")
         for v in nbrs:
             if v == i:
@@ -168,10 +173,7 @@ def expansion_defects(graph: ExpandedGraph) -> list[str]:
             defects.append(f"edge {u + 1}-{v + 1} seen from {count} endpoint(s), expected 2")
         if (u - v) % 2 == 0:
             defects.append(f"edge {u + 1}-{v + 1} joins two same-parity vertices")
-    for i in range(n):
-        j = (i + 1) % n
-        if j not in adj[i]:
-            defects.append(f"Hamiltonian cycle edge {i + 1}-{j + 1} missing")
+    defects += gaps
     # the edge count needs no check of its own: with no defect, every row
     # holds three distinct neighbours, so there are 3n row entries, and every
     # key is seen exactly twice, so there are 3n/2 edges
@@ -222,15 +224,6 @@ class PatternTransform:
             raise ValueError(f"shift must be even, got {self.shift}")
 
 
-def _transformed_offsets(t: PatternTransform, offsets: tuple[int, ...], n: int) -> tuple[int, ...]:
-    b2 = len(offsets)
-    seq = list(offsets)
-    if t.reflect:
-        seq = [n - offsets[(-j) % b2] for j in range(b2)]
-    s = t.shift % b2
-    return tuple(seq[(j + s) % b2] for j in range(b2))
-
-
 def canonical_group(b: int) -> tuple[PatternTransform, ...]:
     """The b even rotations and their reflected companions."""
     shifts = range(0, 2 * b, 2)
@@ -249,11 +242,12 @@ def canonical_form(pattern: OffsetPattern) -> OffsetPattern:
     isomorphism, which may identify patterns across different Hamiltonian
     cycles).
     """
+    offs = pattern.offsets
     n = pattern.order
-    best = min(
-        _transformed_offsets(t, pattern.offsets, n)
-        for t in canonical_group(pattern.b)
-    )
-    if best == pattern.offsets:
+    b2 = len(offs)
+    # the reflection about vertex 0, then the b even rotations of both sequences
+    reflected = tuple(n - offs[-j] for j in range(b2))
+    best = min(seq[s:] + seq[:s] for seq in (offs, reflected) for s in range(0, b2, 2))
+    if best == offs:
         return pattern
     return validate_pattern(pattern.m, pattern.b, best)

@@ -18,17 +18,16 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
 )
+_MARGIN = 30.0
+_CYCLE_WIDTH = 1.2
+_CHORD_WIDTH = 1.2
 
 
 @dataclass(frozen=True)
 class RenderStyle:
     radius: float = 180.0
-    margin: float = 30.0
     vertex_radius: float = 3.0
-    cycle_width: float = 1.2
-    chord_width: float = 1.2
     labels: bool = False
-    palette: tuple[str, ...] = _PALETTE
 
 
 def _fmt(x: float) -> str:
@@ -49,14 +48,16 @@ def render_svg(entry: CatalogEntry, style: RenderStyle | None = None) -> str:
         raise ValueError(f"refusing to render unverified entry: {failed.detail}")
     n = entry.order
     b2 = 2 * entry.b
-    cx = cy = style.margin + style.radius
-    size = 2 * (style.margin + style.radius)
+    cx = cy = _MARGIN + style.radius
+    size = 2 * (_MARGIN + style.radius)
 
-    def pos(i: int) -> tuple[float, float]:
+    # each vertex's coordinates, formatted once
+    xs = []
+    ys = []
+    for i in range(n):
         theta = -math.pi / 2 + 2 * math.pi * i / n
-        return cx + style.radius * math.cos(theta), cy + style.radius * math.sin(theta)
-
-    pts = [pos(i) for i in range(n)]
+        xs.append(_fmt(cx + style.radius * math.cos(theta)))
+        ys.append(_fmt(cy + style.radius * math.sin(theta)))
 
     # one color class per involution pair of offset positions
     pair_of: dict[int, int] = {}
@@ -74,30 +75,26 @@ def render_svg(entry: CatalogEntry, style: RenderStyle | None = None) -> str:
         f'width="{_fmt(size)}" height="{_fmt(size)}" '
         f'viewBox="0 0 {_fmt(size)} {_fmt(size)}">',
         f'<!-- g={entry.g} n={n} b={entry.b} girth={report.measured_girth} -->',
-        f'<g stroke="#333333" stroke-width="{_fmt(style.cycle_width)}" fill="none">',
+        f'<g stroke="#333333" stroke-width="{_fmt(_CYCLE_WIDTH)}" fill="none">',
     ]
     for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
-        lines.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
+        k = i + 1 if i + 1 < n else 0
+        lines.append(f'<line x1="{xs[i]}" y1="{ys[i]}" x2="{xs[k]}" y2="{ys[k]}"/>')
     lines.append("</g>")
-    lines.append(f'<g stroke-width="{_fmt(style.chord_width)}" fill="none">')
+    lines.append(f'<g stroke-width="{_fmt(_CHORD_WIDTH)}" fill="none">')
     for i in range(n):
         k = (i + entry.offsets[i % b2]) % n
         if k <= i:  # each chord once, from its lower endpoint
             continue
-        color = style.palette[pair_of[i % b2] % len(style.palette)]
-        x1, y1 = pts[i]
-        x2, y2 = pts[k]
+        color = _PALETTE[pair_of[i % b2] % len(_PALETTE)]
         lines.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}"/>'
+            f'<line x1="{xs[i]}" y1="{ys[i]}" x2="{xs[k]}" y2="{ys[k]}" stroke="{color}"/>'
         )
     lines.append("</g>")
     lines.append('<g fill="#111111">')
+    dot = _fmt(style.vertex_radius)
     for i in range(n):
-        x, y = pts[i]
-        lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(style.vertex_radius)}"/>')
+        lines.append(f'<circle cx="{xs[i]}" cy="{ys[i]}" r="{dot}"/>')
     lines.append("</g>")
     if style.labels:
         lines.append('<g font-family="sans-serif" font-size="9" fill="#111111" '

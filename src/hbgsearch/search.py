@@ -25,7 +25,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 
@@ -666,6 +665,8 @@ class _ScanPool:
 
     def _started(self):
         if self._pool is None:
+            import multiprocessing  # only a pooled scan pays for the import
+
             self._pool = multiprocessing.Pool(self.processes)
         return self._pool
 

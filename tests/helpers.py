@@ -20,7 +20,6 @@ from hbgsearch.pattern import (
     OffsetPattern,
     PatternTransform,
     _divisors,
-    _transformed_offsets,
     canonical_form,
     expand,
     validate_pattern,
@@ -182,10 +181,14 @@ def distances_within(n: int, b2: int, offsets: list[int], root: int, depth: int)
 
 def apply_transform(transform: PatternTransform, pattern: OffsetPattern) -> OffsetPattern:
     """Apply a relabeling transform; the result is revalidated."""
-    return validate_pattern(
-        pattern.m, pattern.b,
-        _transformed_offsets(transform, pattern.offsets, pattern.order),
-    )
+    offsets = pattern.offsets
+    n = pattern.order
+    b2 = len(offsets)
+    seq = list(offsets)
+    if transform.reflect:
+        seq = [n - offsets[(-j) % b2] for j in range(b2)]
+    s = transform.shift % b2
+    return validate_pattern(pattern.m, pattern.b, [seq[(j + s) % b2] for j in range(b2)])
 
 
 def compose_transforms(first: PatternTransform, second: PatternTransform) -> PatternTransform:

@@ -260,6 +260,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "--cap" in proc.stdout
 
+    def test_import_leaves_pool_and_resource_modules_out(self):
+        # a serial command never forks, and the bound table is a plain file
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import hbgsearch.cli; "
+                "print(sorted({'multiprocessing', 'importlib.resources'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 def _snapshot(directory):
     return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}

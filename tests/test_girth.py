@@ -133,6 +133,64 @@ def test_stop_rule_against_edge_removal_reference():
         seen.update(f"degree {len(nbrs)}" for nbrs in adj)
     assert seen >= {"forest", "odd girth", "even girth", "connected", "disconnected",
                     "degree 1", "degree 2", "degree 3", "degree 4"}
+    kinds = set()
+    for _ in range(300):
+        for kind, adj in _parity_cases(rng):
+            n = len(adj)
+            girth = edge_removal_girth(adj)
+            for cap in range(3, n + 2):
+                want = girth if girth is not None and girth <= cap else None
+                assert _shortest_cycle(adj, range(n), cap) == GirthResult(want, cap), (adj, cap)
+            kinds.add(kind)
+            kinds.add("parity stop" if _labels_alternate(adj) else "generic stop")
+            kinds.add("forest" if girth is None else "odd girth" if girth % 2 else "even girth")
+    assert kinds == {"pattern", "same-parity edge", "loop", "bipartite, labels not alternating",
+                     "parity stop", "generic stop", "forest", "odd girth", "even girth"}
+
+
+def _labels_alternate(adj) -> bool:
+    """Whether every edge joins an even and an odd label: the oracle's parity stop."""
+    return all((u - v) % 2 for u, nbrs in enumerate(adj) for v in nbrs)
+
+
+def _parity_cases(rng):
+    """A pattern graph, which takes the oracle's parity stop, and graphs that
+    keep the generic stop: the same graph plus one edge between two labels
+    of the same parity, the same graph plus a loop, and a bipartite graph
+    one of whose edges joins two labels of the same parity."""
+    p = random_pattern(rng, max_m=8)
+    n = p.order
+    adj = [list(nbrs) for nbrs in expand(p).adjacency]
+    yield "pattern", adj
+    u = rng.randrange(n)
+    v = rng.choice([x for x in range(u % 2, n, 2) if x != u])
+    extra = [nbrs[:] for nbrs in adj]
+    extra[u].append(v)
+    extra[v].append(u)
+    yield "same-parity edge", extra
+    looped = [nbrs[:] for nbrs in adj]
+    looped[u].append(u)
+    yield "loop", looped
+    yield "bipartite, labels not alternating", _bipartite_graph(rng, n)
+
+
+def _bipartite_graph(rng, n: int) -> list[list[int]]:
+    """A simple graph with sides that are not the label parities: its first
+    edge joins two labels of the same parity, and every edge crosses sides."""
+    u, v = rng.sample(range(rng.randrange(2), n, 2), 2)
+    side = [rng.randrange(2) for _ in range(n)]
+    side[u], side[v] = 0, 1
+    adj: list[list[int]] = [[] for _ in range(n)]
+    adj[u].append(v)
+    adj[v].append(u)
+    for _ in range(rng.randrange(2 * n)):
+        x, y = rng.randrange(n), rng.randrange(n)
+        if side[x] != side[y] and y not in adj[x] and len(adj[x]) < 4 and len(adj[y]) < 4:
+            adj[x].append(y)
+            adj[y].append(x)
+    for nbrs in adj:
+        rng.shuffle(nbrs)
+    return adj
 
 
 def _rotation_invariant_graph(rng, n: int, b2: int) -> list[list[int]]:
@@ -182,6 +240,14 @@ def test_least_vertex_rule_under_rotation():
         seen.update(f"degree {len(nbrs)}" for nbrs in adj)
     assert seen >= {"loop", "doubled edge", "odd girth", "even girth",
                     "degree 2", "degree 3", "degree 4"}
+    for _ in range(150):  # pattern graphs: the parity stop
+        p = random_pattern(rng, max_m=15)
+        adj = expand(p).adjacency
+        girth = edge_removal_girth(adj)
+        for cap in range(3, p.order + 1):
+            want = GirthResult(girth if girth <= cap else None, cap)
+            assert _shortest_cycle(adj, range(p.positions), cap) == want, (p, cap)
+            assert _shortest_cycle(adj, range(p.order), cap) == want, (p, cap)
 
 
 class TestPruningPredicate:

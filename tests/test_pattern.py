@@ -236,11 +236,18 @@ class TestCanonical:
             assert canonical_form(c1).offsets == c1.offsets
 
     def test_canonical_is_orbit_minimum(self, rng):
-        for _ in range(40):
+        seen = set()
+        for _ in range(1200):
             p = random_pattern(rng, max_m=16)
-            c = canonical_form(p)
-            for t in canonical_group(p.b):
-                assert c.offsets <= apply_transform(t, p).offsets
+            images = [apply_transform(t, p).offsets for t in canonical_group(p.b)]
+            assert canonical_form(p).offsets == min(images), p
+            reflected = images[p.b:]
+            seen.add(f"b={p.b}" if p.b <= 2 else "b>=3")
+            if p.offsets in reflected:
+                seen.add("fixed by a reflection, b=1" if p.b == 1 else
+                         "fixed by a reflection, b>=2")
+        assert seen == {"b=1", "b=2", "b>=3",
+                        "fixed by a reflection, b=1", "fixed by a reflection, b>=2"}
 
     def test_transforms_preserve_validity_girth_factors(self, rng):
         for _ in range(40):

@@ -318,7 +318,7 @@ class TestScanDeadline:
         def no_pool(*args):
             raise AssertionError("a pool was started after the deadline")
 
-        monkeypatch.setattr(search.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         spec = spec_for(8, 3, [42], mode="prove")
         oc = enumerate_order_sharded(spec, 42, 3, 2, deadline=time.perf_counter() - 1)
         assert oc.certificate.expansions == 0
@@ -348,14 +348,14 @@ class TestScanDeadline:
 def started_pools(monkeypatch):
     """Every pool the search starts, kept referenced so that only an explicit
     close, not garbage collection, can stop its workers."""
-    real = search.multiprocessing.Pool
+    real = multiprocessing.Pool
     pools = []
 
     def keeping(*args, **kwargs):
         pools.append(real(*args, **kwargs))
         return pools[-1]
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", keeping)
+    monkeypatch.setattr(multiprocessing, "Pool", keeping)
     return pools
 
 
@@ -392,7 +392,7 @@ class TestScanPool:
 def imap_calls(monkeypatch):
     """Every `imap` call on a pool the search starts, as [payloads sent,
     results read]."""
-    real = search.multiprocessing.Pool
+    real = multiprocessing.Pool
     calls = []
 
     def counting_pool(*args, **kwargs):
@@ -410,7 +410,7 @@ def imap_calls(monkeypatch):
         pool.imap = imap
         return pool
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     return calls
 
 
