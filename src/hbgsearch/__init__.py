@@ -27,7 +27,6 @@ from .pattern import (
     OffsetPattern,
     ParityError,
     PatternError,
-    PatternTransform,
     RangeError,
     canonical_form,
     derived_symmetry_factors,

@@ -37,7 +37,7 @@ from .pattern import (
     expansion_defects,
     validate_pattern,
 )
-from .search import MODES, ExhaustionCertificate, ShardRange, certificate_defects
+from .search import COUNTERS, MODES, ExhaustionCertificate, ShardRange, certificate_defects
 
 
 class ParseError(ValueError):
@@ -192,18 +192,13 @@ def _read_file(path) -> str:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A persisted witness claim: girth target, order, symmetry factor, offsets.
-
-    measured_girth is filled by verification and is never serialized; the
-    byte round trip covers the claim fields only.
-    """
+    """A persisted witness claim: girth target, order, symmetry factor, offsets."""
 
     g: int
     order: int
     b: int
     offsets: tuple[int, ...]
     note: str | None = None
-    measured_girth: int | None = None
 
 
 _WITNESS = _Format("HBG 1", ordered=True, keys=(
@@ -403,7 +398,7 @@ _SEARCH_KEYS = (
     ("g", _int, "1"), ("n", _int, "1"), ("b", _int, "1"),
     ("mode", _words(*MODES), "1"), ("reduction", _words("on", "off"), "1"),
 )
-_COUNTERS = ("expansions", "conflicts", "girth-rejects", "sym-skips", "nodes", "leaves")
+_COUNTERS = tuple(key.replace("_", "-") for key in COUNTERS)
 _CERT = _Format("HBG-CERT 1", keys=_SEARCH_KEYS + (
     ("positions", _int, "1"), ("pairs", _int, "1"), ("roots", _ints(2), "1"),
     ("covered", _ints(2), "*"), ("status", str, "1"),
@@ -418,9 +413,9 @@ def _search_fields(run) -> dict[str, object]:
 
 
 def serialize_certificate(cert: ExhaustionCertificate) -> str:
-    """Canonical byte form of a certificate; wall time is deliberately omitted."""
+    """Canonical byte form of a certificate."""
     return _write(_CERT, {
-        **_search_fields(cert), "positions": cert.positions, "pairs": cert.free_pairs,
+        **_search_fields(cert), "positions": 2 * cert.b, "pairs": cert.b,
         "roots": (cert.root_lo, cert.root_hi), "covered": list(cert.covered),
         "status": cert.status, "engine": cert.engine,
         **{key: getattr(cert, key.replace("-", "_")) for key in _COUNTERS},
@@ -437,8 +432,8 @@ def parse_certificate(text: str, source: str = "<string>") -> ExhaustionCertific
         engine=fields["engine"],
         **{key.replace("-", "_"): fields[key] for key in _COUNTERS},
     )
-    if fields["positions"] != cert.positions or fields["pairs"] != cert.free_pairs:
-        key = "positions" if fields["positions"] != cert.positions else "pairs"
+    if fields["positions"] != 2 * cert.b or fields["pairs"] != cert.b:
+        key = "positions" if fields["positions"] != 2 * cert.b else "pairs"
         raise ParseError(source, line[key], "positions/pairs lines inconsistent with b")
     defects = certificate_defects(cert)
     if defects:

@@ -40,6 +40,7 @@ from .catalog import (
 from .girth import girth_oracle
 from .pattern import PatternError, canonical_form, expand, validate_pattern
 from .search import (
+    COUNTERS,
     ExhaustionCertificate,
     OrderOutcome,
     SearchSpec,
@@ -79,7 +80,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--sym", type=int, help="symmetry factor b")
     s.add_argument("--min", type=int, dest="min_order", help="smallest order to scan")
     s.add_argument("--max", type=int, dest="max_order", help="largest order to scan")
-    s.add_argument("--step", type=int, default=2, help="order stride (default 2)")
     s.add_argument("--mode", default="first",
                    help="first|all|count|prove (default first)")
     s.add_argument("--shards", type=int, default=1,
@@ -227,14 +227,12 @@ def cmd_search(args) -> int:
                if val is None]
     if missing:
         raise _UsageError("search requires " + ", ".join(missing))
-    if args.step < 2 or args.step % 2 != 0:
-        raise _UsageError(f"--step must be a positive even integer, got {args.step}")
     b = args.sym
-    orders = [n for n in range(args.min_order, args.max_order + 1, args.step)
+    orders = [n for n in range(args.min_order, args.max_order + 1)
               if n % 2 == 0 and (n // 2) % b == 0 and n >= 6]
     if not orders:
         raise _UsageError(
-            f"no order in {args.min_order}..{args.max_order} (step {args.step}) has "
+            f"no order in {args.min_order}..{args.max_order} has "
             f"m divisible by b={b}")
     try:
         spec = SearchSpec(g=args.girth, b=b, orders=tuple(orders),
@@ -294,7 +292,7 @@ def _run_resume(args) -> int:
                 g=state.g, order=state.order, b=state.b, mode=state.mode,
                 reduction=state.reduction, root_lo=roots[0], root_hi=roots[-1],
                 covered=tuple((rng.lo, rng.hi) for rng in state.pending), status="complete",
-                expansions=0, conflicts=0, girth_rejects=0, sym_skips=0, nodes=0, leaves=0)])
+                **dict.fromkeys(COUNTERS, 0))])
     except ValueError as exc:  # ParseError, PatternError and a refused merge
         _eprint(f"error: {exc}; {cert_path} left unchanged")
         return EXIT_ERROR

@@ -106,16 +106,6 @@ class GirthResult:
     value: int | None
     cap: int
 
-    @property
-    def exceeds_cap(self) -> bool:
-        return self.value is None
-
-    def at_least(self, g: int) -> bool:
-        """Whether the result certifies girth >= g."""
-        if self.value is not None:
-            return self.value >= g
-        return self.cap >= g - 1
-
 
 def girth_oracle(graph: ExpandedGraph, cap: int) -> GirthResult:
     """Reference girth by truncated BFS from every vertex.

@@ -49,8 +49,9 @@ class OffsetPattern:
     """A validated chord-offset pattern of order 2m with period 2b.
 
     Instances are immutable and should be built through validate_pattern(),
-    which is the only constructor that establishes the invariants (parity,
-    non-degeneracy and involution closure of the offsets).
+    which establishes the invariants (parity, non-degeneracy and involution
+    closure of the offsets); canonical_form() builds the images of a valid
+    pattern directly, since the canonical group keeps every invariant.
     """
 
     m: int
@@ -206,34 +207,6 @@ def derived_symmetry_factors(pattern: OffsetPattern) -> set[int]:
     return {bp for bp in _divisors(pattern.m) if (2 * bp) % p == 0}
 
 
-@dataclass(frozen=True)
-class PatternTransform:
-    """A cycle relabeling preserving pattern validity.
-
-    Application order: reverse the traversal direction about vertex 0 when
-    reflect is set, then rotate the starting vertex by `shift` (an even
-    number of vertices).  Both operations keep the Hamiltonian cycle, the
-    girth and the derived symmetry factors intact.
-    """
-
-    shift: int = 0
-    reflect: bool = False
-
-    def __post_init__(self):
-        if self.shift % 2 != 0:
-            raise ValueError(f"shift must be even, got {self.shift}")
-
-
-def canonical_group(b: int) -> tuple[PatternTransform, ...]:
-    """The b even rotations and their reflected companions."""
-    shifts = range(0, 2 * b, 2)
-    return tuple(
-        PatternTransform(shift=s, reflect=r)
-        for r in (False, True)
-        for s in shifts
-    )
-
-
 def canonical_form(pattern: OffsetPattern) -> OffsetPattern:
     """Lexicographically smallest offset sequence over the canonical group.
 
@@ -250,4 +223,5 @@ def canonical_form(pattern: OffsetPattern) -> OffsetPattern:
     best = min(seq[s:] + seq[:s] for seq in (offs, reflected) for s in range(0, b2, 2))
     if best == offs:
         return pattern
-    return validate_pattern(pattern.m, pattern.b, best)
+    # every image of a valid pattern is valid and already reduced into (0, n)
+    return OffsetPattern(m=pattern.m, b=pattern.b, offsets=best)

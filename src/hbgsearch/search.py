@@ -26,7 +26,7 @@ import collections
 import contextlib
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .girth import (
     chord_cycle_shorter_than,
@@ -167,8 +167,7 @@ class ExhaustionCertificate:
 
     status is "complete" when the run finished its assigned ranges; the run
     certifies exhaustion of the whole order only when covers_order() holds.
-    Wall time is informational and never serialized, keeping outcome files
-    byte-identical across runs.
+    It carries no wall time, so outcome files are byte-identical across runs.
     """
 
     g: int
@@ -187,18 +186,13 @@ class ExhaustionCertificate:
     nodes: int
     leaves: int
     engine: str = ENGINE_TAG
-    wall_time_s: float | None = field(default=None, compare=False)
-
-    @property
-    def positions(self) -> int:
-        return self.b * 2
-
-    @property
-    def free_pairs(self) -> int:
-        return self.b
 
     def covers_order(self) -> bool:
         return self.status == "complete" and self.covered == ((self.root_lo, self.root_hi),)
+
+
+# the certificate's counters, in file order; they merge by summation
+COUNTERS = ("expansions", "conflicts", "girth_rejects", "sym_skips", "nodes", "leaves")
 
 
 def certificate_defects(cert: ExhaustionCertificate) -> list[str]:
@@ -208,8 +202,7 @@ def certificate_defects(cert: ExhaustionCertificate) -> list[str]:
         defects.append("nodes != expansions - conflicts - girth_rejects - sym_skips")
     if cert.leaves > cert.nodes:
         defects.append("more leaves than visited nodes")
-    if any(c < 0 for c in (cert.expansions, cert.conflicts, cert.girth_rejects,
-                           cert.sym_skips, cert.nodes, cert.leaves)):
+    if any(getattr(cert, key) < 0 for key in COUNTERS):
         defects.append("negative counter")
     last = None
     for lo, hi in cert.covered:
@@ -362,32 +355,36 @@ class _Kernel:
                 return
 
 
-class _NodeBudget:
-    """Mutable remaining-expansion counter shared across orders of one run."""
+@dataclass
+class _Budget:
+    """The node allowance and wall deadline of one scan, spent as it goes.
 
-    __slots__ = ("remaining",)
+    It compares by value: `_ScanPool.imap_shards` finds an order's streamed
+    shards by comparing payloads, each of which holds a share of a budget.
+    """
 
-    def __init__(self, limit: int | None):
-        self.remaining = limit
+    remaining: int | None
+    deadline: float | None = None
 
-    def exhausted(self) -> bool:
-        return self.remaining is not None and self.remaining <= 0
+    @classmethod
+    def of(cls, spec: SearchSpec) -> _Budget:
+        """A fresh budget for a scan of spec that starts now."""
+        wall = spec.wall_budget_s
+        return cls(spec.node_budget, None if wall is None else time.perf_counter() + wall)
+
+    def spent(self) -> bool:
+        """True once no expansion is left or the wall deadline has passed."""
+        return ((self.remaining is not None and self.remaining <= 0)
+                or (self.deadline is not None and time.perf_counter() > self.deadline))
 
     def consume(self, k: int):
         if self.remaining is not None:
             self.remaining -= k
 
-
-def _scan_deadline(spec: SearchSpec, deadline: float | None) -> float | None:
-    """The caller's wall deadline, or else one derived from the spec's budget now."""
-    if deadline is None and spec.wall_budget_s is not None:
-        return time.perf_counter() + spec.wall_budget_s
-    return deadline
-
-
-def _out_of_work(budget: _NodeBudget, deadline: float | None) -> bool:
-    """True once the node budget is spent or the wall deadline has passed."""
-    return budget.exhausted() or (deadline is not None and time.perf_counter() > deadline)
+    def share(self, k: int) -> _Budget:
+        """One of k even shares of what is left, never empty, same deadline."""
+        return _Budget(None if self.remaining is None else max(1, self.remaining // k),
+                       self.deadline)
 
 
 def _coalesce(ranges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -432,8 +429,7 @@ def enumerate_order(
     spec: SearchSpec,
     order: int,
     ranges: list[ShardRange] | None = None,
-    budget: _NodeBudget | None = None,
-    deadline: float | None = None,
+    budget: _Budget | None = None,
     progress=None,
 ) -> OrderOutcome:
     """Enumerate all patterns of one order within the given root ranges.
@@ -441,7 +437,8 @@ def enumerate_order(
     With ranges=None the full first-position value span is searched.  The
     returned certificate records exactly the covered ranges; on a budget or
     wall-clock breach the unfinished root values are reported as pending and
-    the (deterministic) counters describe only fully completed roots.
+    the (deterministic) counters describe only fully completed roots.  The
+    call spends `budget`, the scan's, or else a fresh one from the spec.
 
     `progress`, if given, is called as progress(order, roots_done,
     roots_total, expansions_so_far) after each completed root subtree.
@@ -461,16 +458,13 @@ def enumerate_order(
             raise ValueError("root ranges must be ascending and disjoint")
         last_hi = rng.hi
     if budget is None:
-        budget = _NodeBudget(spec.node_budget)
-    deadline = _scan_deadline(spec, deadline)
-    t0 = time.perf_counter()
+        budget = _Budget.of(spec)
 
-    totals = {"expansions": 0, "conflicts": 0, "girth_rejects": 0,
-              "sym_skips": 0, "nodes": 0, "leaves": 0}
+    totals = dict.fromkeys(COUNTERS, 0)
     covered: list[tuple[int, int]] = []
     pending: list[ShardRange] = []
     raw_leaves: list[tuple[int, ...]] = []
-    halted = None  # None | "budget" | "witness"
+    status = "complete"
     if spec.g > order:
         # the Hamiltonian cycle itself is shorter than g: nothing to search
         covered, ranges = [(rng.lo, rng.hi) for rng in ranges], []
@@ -479,24 +473,24 @@ def enumerate_order(
     roots_total = sum(1 for d in roots for rng in ranges if rng.lo <= d <= rng.hi)
     roots_done = 0
     for rng in ranges:
-        if halted == "budget":
+        if status == "budget-exceeded":
             pending.append(rng)
             continue
-        if halted:
+        if status == "halted-witness":
             break
         rng_roots = [d for d in roots if rng.lo <= d <= rng.hi]
         done_hi = None
         for root in rng_roots:
-            if _out_of_work(budget, deadline):
-                halted = "budget"
+            if budget.spent():
+                status = "budget-exceeded"
             else:
                 kern.run_root(root, budget.remaining)
                 if kern.breached:
-                    halted = "budget"
-            if halted == "budget":
+                    status = "budget-exceeded"
+            if status == "budget-exceeded":
                 pending.append(ShardRange(root, rng.hi))
                 break
-            for key in totals:
+            for key in COUNTERS:
                 totals[key] += getattr(kern, key)
             budget.consume(kern.expansions)
             raw_leaves.extend(kern.witnesses)
@@ -504,24 +498,16 @@ def enumerate_order(
             if progress is not None:
                 progress(order, roots_done, roots_total, totals["expansions"])
             if kern.stop:  # first-witness halt: this root is not fully covered
-                halted = "witness"
+                status = "halted-witness"
                 break
             done_hi = root
         if done_hi is not None:
             covered.append((rng_roots[0], done_hi))
 
-    status = "complete"
-    if halted == "budget":
-        status = "budget-exceeded"
-    elif halted == "witness":
-        status = "halted-witness"
     cert = ExhaustionCertificate(
         g=spec.g, order=order, b=spec.b, mode=spec.mode, reduction=spec.reduction,
         root_lo=span_lo, root_hi=span_hi, covered=_coalesce(covered), status=status,
-        expansions=totals["expansions"], conflicts=totals["conflicts"],
-        girth_rejects=totals["girth_rejects"], sym_skips=totals["sym_skips"],
-        nodes=totals["nodes"], leaves=totals["leaves"],
-        wall_time_s=time.perf_counter() - t0,
+        **totals,
     )
     witnesses = _witness_records(spec, order, raw_leaves)
     return OrderOutcome(order=order, status=outcome_status(witnesses, cert),
@@ -593,13 +579,7 @@ def merge_certificates(certs: list[ExhaustionCertificate]) -> ExhaustionCertific
     return ExhaustionCertificate(
         g=base.g, order=base.order, b=base.b, mode=base.mode, reduction=base.reduction,
         root_lo=base.root_lo, root_hi=base.root_hi, covered=covered, status=status,
-        expansions=sum(c.expansions for c in certs),
-        conflicts=sum(c.conflicts for c in certs),
-        girth_rejects=sum(c.girth_rejects for c in certs),
-        sym_skips=sum(c.sym_skips for c in certs),
-        nodes=sum(c.nodes for c in certs),
-        leaves=sum(c.leaves for c in certs),
-        wall_time_s=sum(c.wall_time_s or 0.0 for c in certs),
+        **{key: sum(getattr(c, key) for c in certs) for key in COUNTERS},
     )
 
 
@@ -624,18 +604,16 @@ def merge_order_outcomes(spec: SearchSpec, order: int,
 
 
 def _shard_worker(payload):
-    spec, order, rng, shard_budget, deadline = payload
-    return enumerate_order(spec, order, ranges=[rng], budget=_NodeBudget(shard_budget),
-                           deadline=deadline)
+    spec, order, rng, budget = payload
+    return enumerate_order(spec, order, ranges=[rng], budget=budget)
 
 
 def _shard_payloads(spec: SearchSpec, order: int, ranges: list[ShardRange],
-                    remaining: int | None, deadline: float | None) -> list[tuple]:
-    """One `_shard_worker` task per range; the node budget left is split evenly."""
-    per_shard = None if remaining is None else max(1, remaining // len(ranges))
+                    budget: _Budget) -> list[tuple]:
+    """One `_shard_worker` task per range, each with its own share of the budget."""
     # perf_counter is the system-wide monotonic clock (CLOCK_MONOTONIC on
     # Linux), so pool workers can compare against this process's deadline
-    return [(spec, order, rng, per_shard, deadline) for rng in ranges]
+    return [(spec, order, rng, budget.share(len(ranges))) for rng in ranges]
 
 
 class _ScanPool:
@@ -690,19 +668,18 @@ def enumerate_order_sharded(
     order: int,
     shards: int,
     processes: int | None = None,
-    budget: _NodeBudget | None = None,
-    deadline: float | None = None,
+    budget: _Budget | None = None,
     progress=None,
     pool: _ScanPool | None = None,
 ) -> OrderOutcome:
     """Partitioned enumeration of one order, optionally on a process pool.
 
     In process this is one enumerate_order call over the partition.  On a
-    pool the node budget is split evenly across shards and every shard stops
-    at the same wall deadline; first-witness runs let every shard halt at
-    its own first witness, and the merged winner is the one from the lowest
-    value range, which equals the serial answer.  A spent budget or a passed
-    deadline skips the pool: the in-process call leaves every shard pending.
+    pool each shard gets an even share of `budget`, wall deadline included;
+    first-witness runs let every shard halt at its own first witness, and
+    the merged winner is the one from the lowest value range, which equals
+    the serial answer.  A spent budget skips the pool: the in-process call
+    leaves every shard pending.
 
     `pool` is the scan's pool when `min_order` calls this for each order,
     and the order's shards may already be running there: this call then
@@ -713,12 +690,10 @@ def enumerate_order_sharded(
     """
     ranges = partition(spec, order, shards)
     if budget is None:
-        budget = _NodeBudget(spec.node_budget)
-    deadline = _scan_deadline(spec, deadline)
-    if len(ranges) == 1 or not processes or processes <= 1 or _out_of_work(budget, deadline):
-        return enumerate_order(spec, order, ranges=ranges, budget=budget, deadline=deadline,
-                               progress=progress)
-    payloads = _shard_payloads(spec, order, ranges, budget.remaining, deadline)
+        budget = _Budget.of(spec)
+    if len(ranges) == 1 or not processes or processes <= 1 or budget.spent():
+        return enumerate_order(spec, order, ranges=ranges, budget=budget, progress=progress)
+    payloads = _shard_payloads(spec, order, ranges, budget)
     roots = root_values(order, spec.reduction)
     parts = []
     done = expansions = 0
@@ -739,9 +714,9 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
               progress=None) -> SearchOutcome:
     """Scan the spec's orders ascending; stop at the first witness in first mode.
 
-    One node budget and one wall deadline are shared by the whole scan.
-    Once an order breaches either, the budget is marked spent, so every
-    later order is reported undecided with its full root span pending.
+    The scan shares one budget, node allowance and wall deadline together,
+    and each pooled shard gets a share of it.  Once an order breaches it,
+    it is marked spent, so every later order is undecided and fully pending.
     One worker pool serves every pooled order of the scan, and is closed
     when the scan returns or raises.  Without a node budget, the shards of
     every order whose partition has more than one range are sent to it when
@@ -755,27 +730,25 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
     """
     if list(spec.orders) != sorted(set(spec.orders)):
         raise ValueError("orders must be strictly ascending")
-    budget = _NodeBudget(spec.node_budget)
-    deadline = _scan_deadline(spec, None)
+    budget = _Budget.of(spec)
     outcomes: list[OrderOutcome] = []
     minimal = None
     with _ScanPool(processes) as pool:
-        if processes and processes > 1 and spec.node_budget is None \
-                and not _out_of_work(budget, deadline):
+        if processes and processes > 1 and spec.node_budget is None and not budget.spent():
             # no order's shard budget depends on what earlier orders spent,
             # so every pooled order's shards go out now, in one stream
             ahead = []
             for order in spec.orders:
                 ranges = partition(spec, order, shards)
                 if len(ranges) > 1:
-                    ahead += _shard_payloads(spec, order, ranges, None, deadline)
+                    ahead += _shard_payloads(spec, order, ranges, budget)
             if ahead:
                 pool.send_ahead(ahead)
         for order in spec.orders:
             # an order the scan cannot start stays pending as one full-span range
-            order_shards = 1 if _out_of_work(budget, deadline) else shards
+            order_shards = 1 if budget.spent() else shards
             oc = enumerate_order_sharded(spec, order, order_shards, processes or 1, budget,
-                                         deadline, progress, pool)
+                                         progress, pool)
             outcomes.append(oc)
             if oc.certificate.status == "budget-exceeded":
                 # the breaching subtree did not fit the remaining allowance;

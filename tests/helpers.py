@@ -4,21 +4,18 @@ The brute-force survey is the unpruned reference the search kernel is
 tested against; random patterns feed the property tests.  The edge-removal
 girth is a reference for the oracle's BFS on arbitrary simple graphs, and
 the per-vertex distance BFS one for the kernel's bit-set BFS.
-Pattern transforms and search-prefix replay build the inputs of the
-symmetry and predicate tests.  `verified_entry` turns a verification
-report back into a catalog entry with its measured girth.
+Pattern transforms (the canonical group of `canonical_form`) and
+search-prefix replay build the inputs of the symmetry and predicate tests.
 """
 
 import itertools
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass
 
-from hbgsearch.catalog import CatalogEntry, VerificationReport
 from hbgsearch.girth import girth_oracle
 from hbgsearch.pattern import (
     DivisibilityError,
     OffsetPattern,
-    PatternTransform,
     _divisors,
     canonical_form,
     expand,
@@ -179,6 +176,34 @@ def distances_within(n: int, b2: int, offsets: list[int], root: int, depth: int)
     return dist
 
 
+@dataclass(frozen=True)
+class PatternTransform:
+    """A cycle relabeling preserving pattern validity.
+
+    Application order: reverse the traversal direction about vertex 0 when
+    reflect is set, then rotate the starting vertex by `shift` (an even
+    number of vertices).  Both operations keep the Hamiltonian cycle, the
+    girth and the derived symmetry factors intact.
+    """
+
+    shift: int = 0
+    reflect: bool = False
+
+    def __post_init__(self):
+        if self.shift % 2 != 0:
+            raise ValueError(f"shift must be even, got {self.shift}")
+
+
+def canonical_group(b: int) -> tuple[PatternTransform, ...]:
+    """The b even rotations and their reflected companions."""
+    shifts = range(0, 2 * b, 2)
+    return tuple(
+        PatternTransform(shift=s, reflect=r)
+        for r in (False, True)
+        for s in shifts
+    )
+
+
 def apply_transform(transform: PatternTransform, pattern: OffsetPattern) -> OffsetPattern:
     """Apply a relabeling transform; the result is revalidated."""
     offsets = pattern.offsets
@@ -216,8 +241,3 @@ def assignment_prefix(pattern: OffsetPattern, pairs: int) -> PartialAssignment:
         table[(j + d) % b2] = pattern.order - d
         done += 1
     return PartialAssignment(m=pattern.m, b=pattern.b, offsets=tuple(table))
-
-
-def verified_entry(report: VerificationReport) -> CatalogEntry:
-    """The report's entry with the girth the verification measured."""
-    return replace(report.entry, measured_girth=report.measured_girth)

@@ -39,6 +39,18 @@ class TestSearchCommand:
         assert code == 1
         assert "divisible" in err
 
+    def test_odd_min_scans_the_even_orders_above_it(self, capsys):
+        code, out, err = run_cli("search", "--girth", "6", "--sym", "1",
+                                 "--min", "13", "--max", "14", "--quiet", capsys=capsys)
+        assert code == 0
+        assert out.splitlines() == ["order 14 witness witnesses 1 nodes 1 leaves 1",
+                                    "minimal 14"]
+
+    def test_step_is_not_an_option(self, capsys):
+        code, out, err = run_cli("search", "--girth", "6", "--sym", "1", "--min", "6",
+                                 "--max", "20", "--step", "4", capsys=capsys)
+        assert code == 1 and "--step" in err
+
     def test_missing_flags_is_usage_error(self, capsys):
         code, out, err = run_cli("search", "--girth", "6", capsys=capsys)
         assert code == 1 and "usage error" in err

@@ -27,19 +27,13 @@ class TestOracle:
 
     def test_exceeds_cap_marker(self, heawood):
         r = girth_oracle(expand(heawood), 4)
-        assert r.value is None and r.cap == 4 and r.exceeds_cap
+        assert r.value is None and r.cap == 4
         assert girth_oracle(expand(heawood), 5).value is None
         assert girth_oracle(expand(heawood), 6).value == 6
 
     def test_cap_below_three_rejected(self, k33):
         with pytest.raises(ValueError):
             girth_oracle(expand(k33), 2)
-
-    def test_at_least_helper(self):
-        assert GirthResult(6, 20).at_least(6)
-        assert not GirthResult(6, 20).at_least(8)
-        assert GirthResult(None, 13).at_least(14)
-        assert not GirthResult(None, 10).at_least(14)
 
 
 class TestFastEquivalence:

@@ -7,7 +7,6 @@ from hbgsearch import (
     LengthError,
     MatchingError,
     ParityError,
-    PatternTransform,
     RangeError,
     canonical_form,
     derived_symmetry_factors,
@@ -16,9 +15,15 @@ from hbgsearch import (
     girth_fast,
     validate_pattern,
 )
-from hbgsearch.pattern import canonical_group, minimal_position_period
+from hbgsearch.pattern import minimal_position_period
 
-from helpers import apply_transform, compose_transforms, random_pattern
+from helpers import (
+    PatternTransform,
+    apply_transform,
+    canonical_group,
+    compose_transforms,
+    random_pattern,
+)
 
 
 class TestValidate:
@@ -240,7 +245,10 @@ class TestCanonical:
         for _ in range(1200):
             p = random_pattern(rng, max_m=16)
             images = [apply_transform(t, p).offsets for t in canonical_group(p.b)]
-            assert canonical_form(p).offsets == min(images), p
+            canon = canonical_form(p)
+            assert canon.offsets == min(images), p
+            # built without revalidation, so check it is a valid pattern
+            assert validate_pattern(p.m, p.b, canon.offsets) == canon, p
             reflected = images[p.b:]
             seen.add(f"b={p.b}" if p.b <= 2 else "b>=3")
             if p.offsets in reflected:

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from hbgsearch import (
 from hbgsearch import search
 from hbgsearch.search import (
     ShardRange,
-    _NodeBudget,
+    _Budget,
     candidate_values,
     certificate_defects,
     normalize_mode,
@@ -189,7 +190,7 @@ class TestBudget:
 
     def test_zero_remaining_budget_touches_nothing(self):
         spec = spec_for(6, 1, [14], mode="prove")
-        oc = enumerate_order(spec, 14, budget=_NodeBudget(0))
+        oc = enumerate_order(spec, 14, budget=_Budget(0))
         assert oc.certificate.expansions == 0 and oc.pending
 
     def test_min_order_marks_rest_undecided(self):
@@ -295,6 +296,51 @@ class TestOutcomeSoundness:
         assert surplus and all(w.measured_girth == 8 for w in surplus)
 
 
+class TestBudgetObject:
+    def test_of_spec_sets_allowance_and_deadline(self):
+        before = time.perf_counter()
+        budget = _Budget.of(spec_for(8, 3, [42], node_budget=7, wall_budget_s=60))
+        assert budget.remaining == 7
+        assert before + 60 <= budget.deadline <= time.perf_counter() + 60
+        assert _Budget.of(spec_for(8, 3, [42])) == _Budget(None, None)
+
+    def test_share_floors_at_one_and_keeps_the_deadline(self):
+        budget = _Budget(10, 123.0)
+        assert budget.share(3) == _Budget(3, 123.0)
+        assert budget.share(20) == _Budget(1, 123.0)
+        assert budget == _Budget(10, 123.0)  # sharing spends nothing
+        assert _Budget(None, 5.0).share(4) == _Budget(None, 5.0)
+
+    def test_spent_at_zero_remaining_or_past_the_deadline(self):
+        now = time.perf_counter()
+        assert _Budget(0).spent() and _Budget(-3).spent()
+        assert _Budget(None, now - 1).spent() and _Budget(5, now - 1).spent()
+        assert not _Budget(1).spent() and not _Budget(None).spent()
+        assert not _Budget(None, now + 3600).spent()
+
+    def test_consume_spends_only_a_limited_budget(self):
+        limited, unlimited = _Budget(5), _Budget(None)
+        limited.consume(3)
+        unlimited.consume(3)
+        assert limited.remaining == 2 and unlimited.remaining is None
+
+    def test_shares_of_one_budget_compare_equal(self):
+        spec = spec_for(8, 3, [42], mode="prove", wall_budget_s=60)
+        budget = _Budget.of(spec)
+        assert budget.share(3) == budget.share(3)
+        # the scan's pool finds an order's streamed shards by payload equality
+        ranges = partition(spec, 42, 3)
+        assert search._shard_payloads(spec, 42, ranges, budget) == \
+            search._shard_payloads(spec, 42, ranges, budget)
+
+    def test_shards_pickled_together_spend_their_own_shares(self):
+        spec = spec_for(8, 3, [42], mode="prove", node_budget=90)
+        payloads = search._shard_payloads(spec, 42, partition(spec, 42, 3), _Budget.of(spec))
+        copies = pickle.loads(pickle.dumps(payloads))  # as one pool chunk is sent
+        copies[0][3].consume(30)
+        assert [p[3] for p in copies] == [_Budget(0), _Budget(30), _Budget(30)]
+
+
 class TestScanDeadline:
     def test_pooled_shards_stop_at_the_scan_deadline(self, monkeypatch):
         if multiprocessing.get_start_method() != "fork":
@@ -320,7 +366,8 @@ class TestScanDeadline:
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         spec = spec_for(8, 3, [42], mode="prove")
-        oc = enumerate_order_sharded(spec, 42, 3, 2, deadline=time.perf_counter() - 1)
+        oc = enumerate_order_sharded(spec, 42, 3, 2,
+                                     budget=_Budget(None, time.perf_counter() - 1))
         assert oc.certificate.expansions == 0
         assert oc.pending == tuple(partition(spec, 42, 3))
         # a scan whose wall budget is already spent when it starts
