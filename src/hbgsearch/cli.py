@@ -92,7 +92,6 @@ def _build_parser() -> _Parser:
                    help="prune canonical-orbit duplicates (shift/reflection)")
     s.add_argument("--resume", default=None, help="resume file from an aborted run")
     s.add_argument("--out", default=None, help="output directory for witness/certificate files")
-    s.add_argument("--config", default=None, help="lower-bound override file")
     s.add_argument("--progress", action="store_true",
                    help="periodic progress on stderr: per root, or per shard when pooled")
     s.add_argument("--quiet", action="store_true")
@@ -242,9 +241,8 @@ def cmd_search(args) -> int:
                           reduction=args.reduce)
     except (ValueError, PatternError) as exc:
         raise _UsageError(str(exc)) from None
-    config = LowerBoundConfig.from_file(args.config) if args.config else LowerBoundConfig.default()
     try:
-        lb = lower_bound_order(spec.g, spec.b, config)
+        lb = lower_bound_order(spec.g, spec.b)
         if orders[0] < lb and not args.quiet:
             _eprint(f"note: scanning below the known (3,{spec.g}) floor {lb}")
     except ValueError:

@@ -21,13 +21,13 @@ There are two BFS loops, one reference and one for the kernel.
   means vertex x), so a step is a fixed number of big-int operations, not
   one loop trip per vertex: the level rotated by +1 and -1, and for each
   assigned class c the level's class-c vertices (a mask cached per
-  (n, 2b)) rotated by c's offset.  It serves the frontier ball of every
-  search node, the ball around a partner class in layer 2b, and the exact
-  check chord_cycle_shorter_than, which passes the far end as a stop
-  vertex.  It never follows the chord at its own root; the exact check
-  relies on that to measure paths that avoid the new chord, and at every
-  other caller the root's class is unassigned.  tests/helpers.py keeps a
-  plain per-vertex BFS that it is tested against.
+  (n, 2b)) rotated by c's offset.  It serves node_filter (the frontier
+  ball of every search node and the ball around a partner class in layer
+  2b) and the exact check chord_cycle_shorter_than, which passes the far
+  end as a stop vertex.  It never follows the chord at its own root; the
+  exact check relies on that to measure paths that avoid the new chord,
+  and at every other caller the root's class is unassigned.
+  tests/helpers.py keeps a plain per-vertex BFS that it is tested against.
 
 has_girth_at_least is the plain reference pruning predicate: it builds the
 graph forced by a partial offset assignment and searches it for a cycle
@@ -62,6 +62,13 @@ the walk never turns straight back on an edge.  A closed walk that never
 backtracks, read cyclically, cannot live in a forest, so the edges it uses
 contain a cycle of length <= g-1.  The exact check rejects such a candidate
 too: the filters change what a decision costs, never the decision.
+
+node_filter applies the three rules once when a node starts and returns one
+n-bit int: bit q is set iff they reject far end q.  The kernel passes it to
+the exact check for every candidate.  Layer 2 is computed for each open
+class t of the parity opposite to j's that still has a far end outside the
+ball; a class's marks lie in that class, so no other class would add a bit
+that a candidate reads.
 
 Parity.  Every offset is odd and n is even, so every edge joins an even and
 an odd vertex: every pattern graph is bipartite, and a path between two
@@ -196,7 +203,7 @@ def chord_cycle_shorter_than(
     offsets: list[int],
     rep: int,
     g: int,
-    ends: bytearray | None = None,
+    ends: int = 0,
 ) -> bool:
     """Whether some cycle through the chord orbit of position `rep` has length < g.
 
@@ -205,13 +212,13 @@ def chord_cycle_shorter_than(
     test the single representative chord (rep, rep + offset): a path of
     length <= g-2 back from its far end, avoiding the chord itself, closes
     a short cycle.  The far end is at odd distance, so depth g-3 is enough.
-    `ends`, when given, holds the far ends the per-node filters of the
-    parent already rejected; those are answered without a BFS.
+    Bit x of `ends` marks a far end x the parent's node_filter already
+    rejected; those are answered without a BFS.
     """
     q = rep + offsets[rep % b2]
     if q >= n:
         q -= n
-    if ends is not None and ends[q]:
+    if ends >> q & 1:
         return True
     return level_sets(n, b2, offsets, rep, g - 3, q)[-1] >> q & 1 == 1
 
@@ -270,25 +277,20 @@ def level_sets(n: int, b2: int, offsets: list[int], root: int, depth: int,
     return levels
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
 def frontier_ball(n: int, b2: int, offsets: list[int], j: int, g: int
-                  ) -> tuple[bytearray, list[int]]:
-    """Layer 1 at the node whose frontier is j: (ends, levels).
+                  ) -> tuple[int, list[int]]:
+    """Layer 1 at the node whose frontier is j: (ball, levels).
 
-    levels are j's BFS levels in G up to g-3, and ends marks every vertex
-    within them, so ends[j + d] rejects candidate d.  A far end is at odd
-    distance, so marking up to g-3 marks every far end within g-2.  ends
-    is the node's own buffer; mark_partner_class adds the layer-2 marks of
-    a class to it.
+    levels are j's BFS levels in G up to g-3, and bit x of ball is set iff
+    x lies within them, so bit (j + d) mod n rejects candidate d.  A far
+    end is at odd distance, so a ball to g-3 holds every far end within
+    g-2.
     """
     levels = level_sets(n, b2, offsets, j, g - 3)
     ball = 0
     for level in levels:
         ball |= level
-    ends = bytearray(f"{ball:0{n}b}"[::-1], "ascii").translate(_BIT_BYTES)
-    return ends, levels
+    return ball, levels
 
 
 def _members(bits: int):
@@ -299,16 +301,20 @@ def _members(bits: int):
         bits ^= low
 
 
-def mark_out_and_back(ends: bytearray, n: int, b2: int, offsets: list[int], j: int,
-                      t: int, g: int, levels: list[int]) -> bool:
-    """Layer 2b: mark every far end of class t if a short out-and-back walk exists.
+def mark_out_and_back(n: int, b2: int, offsets: list[int], j: int, t: int, g: int,
+                      levels: list[int]) -> bool:
+    """Layer 2b: whether a short out-and-back walk rejects every far end of class t.
 
     x and t share a class and y = j + t - x shares j's, so l1 and l2 are
     even and at least 2: l1 + l2 <= g-3 means l1 <= g-6 and l2 <= g-4-l1.
     When b >= 2 both are at least 4 (module docstring), so l1 <= g-8.
+    Rotation by x - t, a multiple of 2b, maps G to itself, y to j and j to
+    j + x - t, so D(y) = D(j + x - t): one rotation by j - t moves every
+    class-t vertex of a level to the vertex whose distance from j to read.
     """
     mask = _class_masks(n, b2)[t]
     from_t = level_sets(n, b2, offsets, t, g - 6 if b2 == 2 else g - 8)
+    shift = (j - t) % n
     for l1 in range(2, len(from_t), 2):
         xs = from_t[l1] & mask
         if not xs:
@@ -316,19 +322,13 @@ def mark_out_and_back(ends: bytearray, n: int, b2: int, offsets: list[int], j: i
         near_j = 0
         for level in levels[:g - 3 - l1]:
             near_j |= level
-        for x in _members(xs):
-            y = j + t - x
-            if y < 0:
-                y += n
-            if near_j >> y & 1:
-                ends[t::b2] = bytes([1]) * (n // b2)
-                return True
+        if ((xs << shift) | (xs >> (n - shift))) & near_j:
+            return True
     return False
 
 
-def mark_same_direction(ends: bytearray, n: int, b2: int, j: int, t: int, g: int,
-                        levels: list[int]) -> None:
-    """Layer 2a: mark far ends q of class t with 2q = x1 + x2, D(x1) + D(x2) <= g-3.
+def mark_same_direction(n: int, b2: int, j: int, t: int, g: int, levels: list[int]) -> int:
+    """Layer 2a: far ends q of class t with 2q = x1 + x2, D(x1) + D(x2) <= g-3, as a bit set.
 
     Class t is at odd distance from j, so only odd levels below g-3 hold
     an x1 or x2; near lists them by distance, then by vertex.
@@ -338,26 +338,39 @@ def mark_same_direction(ends: bytearray, n: int, b2: int, j: int, t: int, g: int
     near = [(d, x) for d in range(1, min(limit, len(levels)), 2)
             for x in _members(levels[d] & mask)]
     half = n // 2
+    marks = 0
     for i, (d1, x1) in enumerate(near):
         for d2, x2 in near[i:]:
             if d1 + d2 > limit:
                 break
             q = (x1 + x2) // 2
             if q % b2 == t:
-                ends[q] = 1
+                marks |= 1 << q
             q = (q + half) % n
             if q % b2 == t:
-                ends[q] = 1
+                marks |= 1 << q
+    return marks
 
 
-def mark_partner_class(ends: bytearray, n: int, b2: int, offsets: list[int], j: int,
-                       t: int, g: int, levels: list[int]) -> None:
-    """Add the layer-2 marks of partner class t to the node buffer `ends`.
+def node_filter(n: int, b2: int, offsets: list[int], j: int, g: int) -> int:
+    """The far ends the filters reject at the node whose frontier is j, as a bit set.
 
-    offsets must be the parent's table: neither j nor t assigned.
+    offsets is the node's own table, with j unassigned.  Layer 1 is the
+    frontier ball.  Every open class t of the other parity that still has
+    a vertex outside the ball adds its layer-2 marks: the whole class when
+    an out-and-back walk exists, and its same-direction marks otherwise.
     """
-    if not mark_out_and_back(ends, n, b2, offsets, j, t, g, levels):
-        mark_same_direction(ends, n, b2, j, t, g, levels)
+    ball, levels = frontier_ball(n, b2, offsets, j, g)
+    ends = ball
+    masks = _class_masks(n, b2)
+    for t in range(~j & 1, b2, 2):
+        if offsets[t] >= 0 or not masks[t] & ~ball:
+            continue
+        if mark_out_and_back(n, b2, offsets, j, t, g, levels):
+            ends |= masks[t]
+        else:
+            ends |= mark_same_direction(n, b2, j, t, g, levels)
+    return ends
 
 
 def has_girth_at_least(partial: "PartialAssignment", g: int) -> bool:

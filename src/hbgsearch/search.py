@@ -5,14 +5,15 @@ offset d for the lowest unassigned position j simultaneously forces position
 (j + d) mod 2b to the negated offset, so the tree is b pairs deep.  Each
 accepted node is girth-checked through the newly added chord orbit only;
 cycles avoiding the new orbit were already checked at the parent, so the
-incremental test is equivalent to the full pruning predicate.  Each node
-first computes the sound per-node filters of girth.py (its frontier ball,
-and the two-chord marks of a partner class the first time a candidate of
-that class survives the ball) and hands the rejected far ends to the exact
-check, which then runs its BFS only for the candidates they do not decide.
-The balls and the exact check are one BFS, girth.level_sets, which moves a
-whole level per step as a bit set; parity cuts the frontier ball and the
-exact check to depth g-3 and the ball around a partner class to g-6.
+incremental test is equivalent to the full pruning predicate.  When a node
+starts it computes the sound per-node filters of girth.py once, with
+girth.node_filter: one n-bit int of the far ends they reject (its frontier
+ball, and the two-chord marks of every open partner class the ball leaves a
+far end of).  It hands that int to the exact check, which then runs its BFS
+only for the candidates the filters do not decide.  The balls and the exact
+check are one BFS, girth.level_sets, which moves a whole level per step as
+a bit set; parity cuts the frontier ball and the exact check to depth g-3,
+and the ball around a partner class to g-6, or g-8 when b >= 2.
 
 Counters use a fixed accounting that makes certificates mergeable by
 summation: nodes = expansions - conflicts - girth_rejects - sym_skips, and
@@ -28,12 +29,7 @@ import itertools
 import time
 from dataclasses import dataclass, replace
 
-from .girth import (
-    chord_cycle_shorter_than,
-    frontier_ball,
-    girth_oracle,
-    mark_partner_class,
-)
+from .girth import chord_cycle_shorter_than, girth_oracle, node_filter
 from .pattern import (
     DivisibilityError,
     OffsetPattern,
@@ -272,9 +268,8 @@ class _Kernel:
         self.reduction = reduction
         self.collect = collect
         # every root value is a candidate at the same node, the bare cycle at
-        # j=0, so its buffers (and the class marks they gain) outlive a root
-        ends, levels = frontier_ball(order, self.b2, self.offsets, 0, g)
-        self.root_node = (ends, levels, bytearray(self.b2))
+        # j=0, so its filter is computed once per kernel
+        self.root_node = node_filter(order, self.b2, self.offsets, 0, g)
 
     def run_root(self, root: int, budget: int | None):
         self.expansions = 0
@@ -289,7 +284,7 @@ class _Kernel:
         self.budget = budget
         # offsets[0] is still -1, so the reduction skips no root value here:
         # root_values already dropped the reflected ones
-        self._try_values(0, (root,), *self.root_node)
+        self._try_values(0, (root,), self.root_node)
 
     def _descend(self):
         offs = self.offsets
@@ -301,16 +296,12 @@ class _Kernel:
                     self.stop = True
             return
         j = offs.index(-1)
-        # this node's own buffers: children build theirs and leave these alone
-        ends, levels = frontier_ball(self.n, self.b2, offs, j, self.g)
-        self._try_values(j, self.cand, ends, levels, bytearray(self.b2))
+        self._try_values(j, self.cand, node_filter(self.n, self.b2, offs, j, self.g))
 
-    def _try_values(self, j: int, values, ends: bytearray, levels: list[int],
-                    built: bytearray):
+    def _try_values(self, j: int, values, ends: int):
         """Try each offset in `values` at frontier j, descending into accepted ones.
 
-        ends and levels are the node's frontier_ball; built[t] is set once the
-        layer-2 marks of partner class t have been added to ends.
+        ends is the node's node_filter: bit (j + d) mod n rejects candidate d.
         """
         offs = self.offsets
         n = self.n
@@ -336,12 +327,6 @@ class _Kernel:
                 if even_value < first:
                     self.sym_skips += 1
                     continue
-            q = j + d
-            if q >= n:
-                q -= n
-            if not ends[q] and not built[t]:
-                built[t] = 1
-                mark_partner_class(ends, n, b2, offs, j, t, g, levels)
             offs[j] = d
             offs[t] = n - d
             if chord_cycle_shorter_than(n, b2, offs, j, g, ends):

@@ -51,6 +51,17 @@ class TestSearchCommand:
                                  "--max", "20", "--step", "4", capsys=capsys)
         assert code == 1 and "--step" in err
 
+    def test_config_is_not_an_option(self, tmp_path, capsys):
+        # the lower-bound override file belongs to `table`; search reads none
+        config = tmp_path / "bounds.txt"
+        config.write_text("6 20\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli("search", "--girth", "6", "--sym", "1", "--min", "14",
+                                 "--max", "14", "--config", str(config),
+                                 "--out", str(out_dir), capsys=capsys)
+        assert code == 1 and "--config" in err and out == ""
+        assert not out_dir.exists() and os.listdir(tmp_path) == ["bounds.txt"]
+
     def test_missing_flags_is_usage_error(self, capsys):
         code, out, err = run_cli("search", "--girth", "6", capsys=capsys)
         assert code == 1 and "usage error" in err

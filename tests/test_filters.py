@@ -21,6 +21,7 @@ from hbgsearch.girth import (
     level_sets,
     mark_out_and_back,
     mark_same_direction,
+    node_filter,
 )
 from hbgsearch.search import candidate_values, partial_assignment
 
@@ -63,12 +64,12 @@ def kernel_decisions(monkeypatch, g, b, n, offs):
     j = offs.index(-1)
     calls = []
 
-    def record(n_, b2, offsets, rep, g_, ends=None):
+    def record(n_, b2, offsets, rep, g_, ends=0):
         if rep != j:
             return True  # a grandchild: this test looks at one node only
         q = (rep + offsets[rep % b2]) % n_
         rejected = chord_cycle_shorter_than(n_, b2, offsets, rep, g_, ends)
-        calls.append((list(offsets), rejected, bool(ends[q])))
+        calls.append((list(offsets), rejected, bool(ends >> q & 1)))
         return rejected
 
     monkeypatch.setattr(search, "chord_cycle_shorter_than", record)
@@ -132,18 +133,17 @@ def test_every_marked_far_end_is_rejected_by_the_exact_bfs(g, b, n):
     marked = {"layer 1": 0, "layer 2a": 0, "layer 2b": 0}
     for offs, j in search_nodes(g, b, n, random.Random(n), limit=60):
         ball, levels = frontier_ball(n, b2, offs, j, g)
-        rules = {"layer 1": ball}
+        rules = {"layer 1": ball, "layer 2b": 0, "layer 2a": 0}
         for t in range(b2):
             if offs[t] >= 0 or (t - j) % 2 == 0:
                 continue
-            rules.setdefault("layer 2b", bytearray(n))
-            rules.setdefault("layer 2a", bytearray(n))
-            mark_out_and_back(rules["layer 2b"], n, b2, offs, j, t, g, levels)
-            mark_same_direction(rules["layer 2a"], n, b2, j, t, g, levels)
+            if mark_out_and_back(n, b2, offs, j, t, g, levels):
+                rules["layer 2b"] |= sum(1 << q for q in range(t, n, b2))
+            rules["layer 2a"] |= mark_same_direction(n, b2, j, t, g, levels)
         for rule, ends in rules.items():
             for q in range(n):
                 d, t = (q - j) % n, q % b2
-                if not ends[q] or d not in cand or offs[t] >= 0:
+                if not ends >> q & 1 or d not in cand or offs[t] >= 0:
                     continue
                 child = list(offs)
                 child[j], child[t] = d, n - d
@@ -211,7 +211,7 @@ def check_filter_marks(g, b, n, seen):
         for d in cand:
             q = (j + d) % n
             if offs[q % b2] < 0 and dist[q] <= g - 2:
-                assert ends[q], (offs, j, d)
+                assert ends >> q & 1, (offs, j, d)
                 seen["layer 1 at g-3"] += dist[q] == g - 3
         for t in range(b2):
             if offs[t] >= 0 or (t - j) % 2 == 0:
@@ -220,25 +220,20 @@ def check_filter_marks(g, b, n, seen):
             from_t = distances_within(n, b2, offs, t, n)
             walks = [from_t[x] for x in range(t + b2, n, b2)
                      if from_t[x] + dist[(j + t - x) % n] <= g - 3]
-            marks, whole_class = bytearray(n), bytearray(n)
-            whole_class[t::b2] = bytes([1]) * (n // b2)
-            assert mark_out_and_back(marks, n, b2, offs, j, t, g, levels) == bool(walks)
-            assert marks == (whole_class if walks else bytearray(n)), (offs, j, t)
+            assert mark_out_and_back(n, b2, offs, j, t, g, levels) == bool(walks), (offs, j, t)
             seen["layer 2b"] += bool(walks)
             seen["layer 2b at l1 = g-6 only"] += bool(walks) and min(walks) == g - 6
             # layer 2a: the marks of a brute-force pass over all pairs x1, x2
             near = [x for x in range(t, n, b2) if dist[x] <= g - 3]
-            expected = bytearray(n)
+            expected = 0
             for x1 in near:
                 for x2 in near:
                     if dist[x1] + dist[x2] <= g - 3:
                         for q in range(t, n, b2):
                             if (2 * q - x1 - x2) % n == 0:
-                                expected[q] = 1
-            marks = bytearray(n)
-            mark_same_direction(marks, n, b2, j, t, g, levels)
-            assert marks == expected, (offs, j, t)
-            seen["layer 2a"] += sum(expected)
+                                expected |= 1 << q
+            assert mark_same_direction(n, b2, j, t, g, levels) == expected, (offs, j, t)
+            seen["layer 2a"] += bin(expected).count("1")
 
 
 @pytest.mark.parametrize("g, b, n", [(8, 3, 42), (12, 4, 104), (14, 3, 258), (14, 7, 266)])
@@ -257,3 +252,29 @@ def test_exact_check_alone_equals_the_reference_predicate(g, b, n):
             assert short != has_girth_at_least(partial_assignment(n // 2, b, _table(child)), g)
             decided[short] += 1
     assert min(decided.values()) > 0, decided
+
+
+@pytest.mark.parametrize("g, b, n", [(8, 3, 42), (14, 3, 258), (14, 7, 266)])
+def test_node_filter_is_the_ball_and_each_open_partner_class(g, b, n):
+    """node_filter ORs layer 1 with the layer-2 marks of every open partner
+    class, and marks nothing beyond the ball in any other class."""
+    b2 = 2 * b
+    seen = {"layer 2 beyond the ball": 0, "taken partner class": 0}
+    for offs, j in search_nodes(g, b, n, random.Random(3 * n + g), limit=60):
+        ball, levels = frontier_ball(n, b2, offs, j, g)
+        expected = ball
+        elsewhere = 0  # the classes that are taken or share j's parity
+        for t in range(b2):
+            whole_class = sum(1 << x for x in range(t, n, b2))
+            if offs[t] >= 0 or (t - j) % 2 == 0:
+                elsewhere |= whole_class
+                seen["taken partner class"] += offs[t] >= 0 and (t - j) % 2 == 1
+            elif mark_out_and_back(n, b2, offs, j, t, g, levels):
+                expected |= whole_class
+            else:
+                expected |= mark_same_direction(n, b2, j, t, g, levels)
+        ends = node_filter(n, b2, offs, j, g)
+        assert ends == expected, (offs, j)
+        assert ends & ~ball & elsewhere == 0, (offs, j)
+        seen["layer 2 beyond the ball"] += ends != ball
+    assert min(seen.values()) > 0, seen

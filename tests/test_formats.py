@@ -210,14 +210,12 @@ BAD_CONFIG = b"# bounds\n6 1_4\n"
     (["table", "--girth", "6", "--dir", "{d}", "--sym", "1", "--config", "{f}"],
      {"f": BAD_CONFIG}, "f", 2, 1),
     (["search", "--resume", "{r}"], {"r": BAD_RESUME}, "r", 8, 1),
-    (["search", "--girth", "6", "--sym", "1", "--min", "6", "--max", "6",
-      "--config", "{f}"], {"f": BAD_CONFIG}, "f", 2, 1),
     # a malformed evidence file in a scanned directory fails the command
     (["report", "--girth", "6", "--dir", "{d}"], {"x.cert": BAD_CERT}, "x.cert", 9, 1),
     (["table", "--girth", "6", "--dir", "{d}", "--sym", "1"], {"x.hbg": UTF8_WITNESS},
      "x.hbg", 6, 1),
 ], ids=["verify", "render", "girth", "canon", "table-claims", "table-config",
-        "search-resume", "search-config", "report-dir", "table-dir"])
+        "search-resume", "report-dir", "table-dir"])
 def test_command_on_malformed_file_names_file_and_line(argv, files, bad, lineno, code,
                                                        tmp_path, capsys):
     paths = {key: tmp_path / key for key in files}
