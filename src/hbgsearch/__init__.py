@@ -5,7 +5,6 @@ from .catalog import (
     BoundsInput,
     BoundsRow,
     CatalogEntry,
-    LowerBoundConfig,
     ParseError,
     ResumeState,
     VerificationReport,

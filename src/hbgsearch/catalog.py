@@ -15,16 +15,16 @@ format is:
 Offsets are least positive residues with 1-based vertex semantics: vertex i
 joins vertex i + offset (mod n).
 
-Reader contract, shared by every format and the lower-bound config: printable
-ASCII only, integers spelled `-?[0-9]+`, blank lines skipped, unknown and
-repeated keys rejected, and any malformed file a ParseError naming
-`file:line`, with lines counted at newline characters only.
+Reader contract, shared by every format: printable ASCII only, integers
+spelled `-?[0-9]+`, blank lines skipped, unknown and repeated keys rejected,
+and any malformed file a ParseError naming `file:line`, with lines counted at
+newline characters only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -242,6 +242,11 @@ def write_witness_file(path, entry: CatalogEntry) -> None:
 
 # --- lower bounds ---------------------------------------------------------
 
+# best published lower bounds on the order of a (3, g) graph, by girth (Exoo &
+# Jajcay, Dynamic Cage Survey, EJC DS16); other girths use the counting floor
+KNOWN_BOUNDS = {14: 258}
+
+
 def moore_floor(g: int) -> int:
     """Counting lower bound on the order of a degree-3 graph with even girth g."""
     if g < 4 or g % 2 != 0:
@@ -249,59 +254,18 @@ def moore_floor(g: int) -> int:
     return 2 * (2 ** (g // 2) - 1)
 
 
-@dataclass(frozen=True)
-class LowerBoundConfig:
-    """Best known (3, g) order bounds: counting floor plus published overrides."""
+def lower_bound_order(g: int, b: int, bound: int | None = None) -> int:
+    """Smallest order >= the (3, g) lower bound that is divisible by 2b.
 
-    overrides: tuple[tuple[int, int], ...] = ()
-
-    def bound(self, g: int) -> int:
-        floor = moore_floor(g)
-        for gg, val in self.overrides:
-            if gg == g:
-                return val
-        return floor
-
-    @classmethod
-    def from_text(cls, text: str, source: str = "<string>") -> "LowerBoundConfig":
-        pairs = []
-        for lineno, raw in enumerate(_lines(text, source), start=1):
-            line = raw.split("#", 1)[0]
-            if not line.strip():
-                continue
-            try:
-                g, val = _ints(2)(line)
-            except ValueError as exc:
-                raise ParseError(source, lineno, f"expected '<girth> <bound>': {exc}") from None
-            if g % 2 != 0 or g < 4:
-                raise ParseError(source, lineno, f"girth {g} must be even and >= 4")
-            # the floor is at least 2^(g/2): a bound of at most g/2 bits is
-            # below it, and no floor of unbounded size is computed
-            if val.bit_length() <= g // 2 or val < moore_floor(g):
-                raise ParseError(source, lineno,
-                                 f"bound {val} below the counting floor for girth {g}")
-            pairs.append((g, val))
-        return cls(overrides=tuple(pairs))
-
-    @classmethod
-    def from_file(cls, path) -> "LowerBoundConfig":
-        return cls.from_text(_read_file(path), source=str(path))
-
-    @classmethod
-    def default(cls) -> "LowerBoundConfig":
-        text = (Path(__file__).parent / "data" / "lower_bounds.txt").read_text("ascii")
-        return cls.from_text(text, source="hbgsearch/data/lower_bounds.txt")
-
-
-def lower_bound_order(g: int, b: int, config: LowerBoundConfig | None = None) -> int:
-    """Smallest order >= the configured (3, g) bound that is divisible by 2b."""
+    The bound is `bound` when given, else the published bound for g in
+    KNOWN_BOUNDS, else the counting floor.
+    """
     if b < 1:
         raise ValueError(f"b must be positive, got {b}")
-    if config is None:
-        config = LowerBoundConfig.default()
-    lb = config.bound(g)
+    if bound is None:
+        bound = KNOWN_BOUNDS[g] if g in KNOWN_BOUNDS else moore_floor(g)
     step = 2 * b
-    return ((lb + step - 1) // step) * step
+    return ((bound + step - 1) // step) * step
 
 
 # --- verification ---------------------------------------------------------
@@ -494,12 +458,12 @@ def write_resume_file(path, state: ResumeState) -> None:
 
 # --- bound tables and non-existence reports --------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class BoundsInput:
     """Evidence for one symmetry factor: exhausted orders and witness orders."""
 
-    exhausted: frozenset[int] = frozenset()
-    uppers: tuple[tuple[int, bool, str], ...] = ()  # (order, verified, tag)
+    exhausted: set[int] = field(default_factory=set)
+    uppers: list[tuple[int, bool, str]] = field(default_factory=list)  # (order, verified, tag)
 
 
 @dataclass(frozen=True)
@@ -512,23 +476,21 @@ class BoundsRow:
     status: str
 
 
-def bounds_table(g: int, bs, config: LowerBoundConfig | None,
+def bounds_table(g: int, bs, bound: int | None,
                  inputs: dict[int, BoundsInput]) -> list[BoundsRow]:
     """Per-b bound summary in the style of a sub-problem bound table.
 
-    proven_lower is the first order on the 2b lattice at or above lb that
-    lacks exhaustion evidence; the status legend is resolved (lower equals a
-    verified upper), lb-improved (lower raised, witness above), not-exist
-    (lower raised, no witness known) and open (no progress past lb).  A row
-    whose bounds meet only through unverified claims is marked
-    resolved-claimed, never plain resolved.
+    lb is lower_bound_order(g, b, bound); proven_lower is the first order on
+    the 2b lattice at or above lb that lacks exhaustion evidence; the status
+    legend is resolved (lower equals a verified upper), lb-improved (lower
+    raised, witness above), not-exist (lower raised, no witness known) and
+    open (no progress past lb).  A row whose bounds meet only through
+    unverified claims is marked resolved-claimed, never plain resolved.
     """
-    if config is None:
-        config = LowerBoundConfig.default()
     rows = []
     for b in bs:
         data = inputs.get(b, BoundsInput())
-        lb = lower_bound_order(g, b, config)
+        lb = lower_bound_order(g, b, bound)
         k = lb
         while k in data.exhausted:
             k += 2 * b
@@ -628,29 +590,38 @@ def format_non_existence(g: int, report: dict[int, list[int]], fmt: str = "text"
 # --- claims files (unverified literature data for tables) ------------------
 
 _CLAIMS = _Format("HBG-CLAIMS 1", keys=(
-    ("g", _int, "1"), ("exhausted", _ints(2), "*"), ("upper", _ints(2, tail=True), "*"),
+    ("g", _int, "1"), ("bound", _int, "?"),
+    ("exhausted", _ints(2), "*"), ("upper", _ints(2, tail=True), "*"),
 ))
 
 
-def parse_claims(text: str, source: str = "<string>") -> tuple[int, dict[int, BoundsInput]]:
-    """Unverified per-b claims: `exhausted <b> <order>` and `upper <b> <order> [tag]`."""
-    fields, _ = _read(_CLAIMS, text, source)
-    exhausted: dict[int, set[int]] = {}
-    uppers: dict[int, list[tuple[int, bool, str]]] = {}
+def parse_claims(text: str, source: str = "<string>",
+                 inputs: dict[int, BoundsInput] | None = None,
+                 ) -> tuple[int, int | None, dict[int, BoundsInput]]:
+    """Unverified literature data: `bound <order>`, the best known (3, g) lower
+    bound, and per-b `exhausted <b> <order>` and `upper <b> <order> [tag]`.
+
+    Returns g, the bound (None when absent) and `inputs` (a new dict when
+    None) with the per-b claims added.
+    """
+    fields, line = _read(_CLAIMS, text, source)
+    g, bound = fields["g"], fields.get("bound")
+    if g < 4 or g % 2 != 0:
+        raise ParseError(source, line["g"], f"g={g}: girth must be even and >= 4")
+    # the floor is at least 2^(g/2): a bound of at most g/2 bits is below it,
+    # and no floor of unbounded size is computed
+    if bound is not None and (bound.bit_length() <= g // 2 or bound < moore_floor(g)):
+        raise ParseError(source, line["bound"],
+                         f"bound {bound} below the counting floor for girth {g}")
+    if inputs is None:
+        inputs = {}
     for b, order in fields.get("exhausted", ()):
-        exhausted.setdefault(b, set()).add(order)
+        inputs.setdefault(b, BoundsInput()).exhausted.add(order)
     for b, order, tag in fields.get("upper", ()):
-        uppers.setdefault(b, []).append((order, False, tag))
-    out: dict[int, BoundsInput] = {}
-    for b in set(exhausted) | set(uppers):
-        out[b] = BoundsInput(exhausted=frozenset(exhausted.get(b, ())),
-                             uppers=tuple(uppers.get(b, ())))
-    return fields["g"], out
+        inputs.setdefault(b, BoundsInput()).uppers.append((order, False, tag))
+    return g, bound, inputs
 
 
-def parse_claims_file(path) -> tuple[int, dict[int, BoundsInput]]:
-    return parse_claims(_read_file(path), source=str(path))
-
-
-def merge_bounds_inputs(a: BoundsInput, b: BoundsInput) -> BoundsInput:
-    return BoundsInput(exhausted=a.exhausted | b.exhausted, uppers=a.uppers + b.uppers)
+def parse_claims_file(path, inputs: dict[int, BoundsInput] | None = None,
+                      ) -> tuple[int, int | None, dict[int, BoundsInput]]:
+    return parse_claims(_read_file(path), source=str(path), inputs=inputs)

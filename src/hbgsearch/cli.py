@@ -18,14 +18,12 @@ from . import render as render_mod
 from .catalog import (
     BoundsInput,
     CatalogEntry,
-    LowerBoundConfig,
     ParseError,
     ResumeState,
     bounds_table,
     format_bounds_table,
     format_non_existence,
     lower_bound_order,
-    merge_bounds_inputs,
     non_existence_report,
     parse_certificate_file,
     parse_claims_file,
@@ -117,8 +115,9 @@ def _build_parser() -> _Parser:
     t.add_argument("--dir", required=True, help="directory of .cert/.hbg files")
     t.add_argument("--sym", default=None,
                    help="symmetry factors, e.g. '3-16' or '1,2,3' (default: those present)")
-    t.add_argument("--claims", default=None, help="unverified claims file")
-    t.add_argument("--config", default=None, help="lower-bound override file")
+    t.add_argument("--claims", default=None,
+                   help="unverified literature data: a lower-bound override and per-b "
+                        "exhausted and witness orders")
     t.add_argument("--format", choices=("text", "kv"), default="text")
     t.set_defaults(func=cmd_table)
 
@@ -241,12 +240,12 @@ def cmd_search(args) -> int:
                           reduction=args.reduce)
     except (ValueError, PatternError) as exc:
         raise _UsageError(str(exc)) from None
-    try:
-        lb = lower_bound_order(spec.g, spec.b)
-        if orders[0] < lb and not args.quiet:
+    lb = lower_bound_order(spec.g, spec.b)
+    if orders[0] < lb and not args.quiet:
+        try:
             _eprint(f"note: scanning below the known (3,{spec.g}) floor {lb}")
-    except ValueError:
-        pass
+        except ValueError:  # a floor too long for int-to-str conversion
+            pass
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
@@ -400,9 +399,7 @@ def _scan_directory(dir_path: str, g: int, witnesses: bool = True):
             if cert.g != g:
                 continue
             if cert.covers_order() and cert.leaves == 0:
-                cur = inputs.get(cert.b, BoundsInput())
-                inputs[cert.b] = BoundsInput(exhausted=cur.exhausted | {cert.order},
-                                             uppers=cur.uppers)
+                inputs.setdefault(cert.b, BoundsInput()).exhausted.add(cert.order)
                 certs.append(cert)
             else:
                 skipped.append(f"{path}: not full exhaustion evidence "
@@ -411,10 +408,7 @@ def _scan_directory(dir_path: str, g: int, witnesses: bool = True):
             entry = parse_witness_file(path)
             report = verify_witness(entry)
             if report.passed and report.measured_girth >= g:
-                cur = inputs.get(entry.b, BoundsInput())
-                inputs[entry.b] = BoundsInput(
-                    exhausted=cur.exhausted,
-                    uppers=cur.uppers + ((entry.order, True, name),))
+                inputs.setdefault(entry.b, BoundsInput()).uppers.append((entry.order, True, name))
             else:
                 skipped.append(f"{path}: witness fails verification at girth {g}")
     return inputs, certs, skipped
@@ -424,27 +418,26 @@ def cmd_table(args) -> int:
     if not os.path.isdir(args.dir):
         _eprint(f"error: {args.dir} is not a directory")
         return EXIT_ERROR
-    config = LowerBoundConfig.from_file(args.config) if args.config else LowerBoundConfig.default()
     inputs, _, skipped = _scan_directory(args.dir, args.girth)
     for msg in skipped:
         _eprint(f"note: skipped {msg}")
+    bound = None
     if args.claims:
-        claims_g, claims = parse_claims_file(args.claims)
+        claims_g, bound, _ = parse_claims_file(args.claims, inputs)
         if claims_g != args.girth:
             _eprint(f"error: claims file is for g={claims_g}, table is for g={args.girth}")
             return EXIT_ERROR
-        for b, data in claims.items():
-            inputs[b] = merge_bounds_inputs(inputs.get(b, BoundsInput()), data)
     bs = _parse_sym_list(args.sym) if args.sym else sorted(inputs)
     if not bs:
         _eprint("error: no symmetry factors found; give --sym or add files")
         return EXIT_ERROR
-    try:
-        rows = bounds_table(args.girth, bs, config, inputs)
+    try:  # inconsistent evidence, or a bound too long for int-to-str conversion
+        rows = bounds_table(args.girth, bs, bound, inputs)
+        text = format_bounds_table(args.girth, rows, fmt=args.format)
     except ValueError as exc:
         _eprint(f"error: {exc}")
         return EXIT_ERROR
-    sys.stdout.write(format_bounds_table(args.girth, rows, fmt=args.format))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

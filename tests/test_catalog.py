@@ -3,7 +3,6 @@ import pytest
 from hbgsearch import (
     BoundsInput,
     CatalogEntry,
-    LowerBoundConfig,
     ParseError,
     SearchSpec,
     bounds_table,
@@ -21,6 +20,7 @@ from hbgsearch.catalog import (
     format_non_existence,
     parse_certificate,
     parse_claims,
+    parse_claims_file,
     parse_resume,
     serialize_certificate,
     serialize_resume,
@@ -95,10 +95,9 @@ class TestLowerBounds:
         assert moore_floor(8) == 30
         assert moore_floor(14) == 254
 
-    def test_default_config_has_published_g14_bound(self):
-        cfg = LowerBoundConfig.default()
-        assert cfg.bound(14) == 258
-        assert cfg.bound(6) == 14
+    def test_published_g14_bound(self):
+        assert lower_bound_order(14, 1) == 258
+        assert lower_bound_order(6, 1) == 14
 
     def test_lower_bound_order_table_one_column(self):
         expected = [258, 264, 260, 264, 266, 272, 270, 260, 264, 264, 260, 280, 270, 288]
@@ -106,26 +105,26 @@ class TestLowerBounds:
         assert got == expected
 
     def test_lower_bound_order_invariants(self, rng):
-        cfg = LowerBoundConfig.default()
         for _ in range(200):
             g = rng.choice([4, 6, 8, 10, 12, 14])
             b = rng.randrange(1, 20)
-            lb = lower_bound_order(g, b, cfg)
+            bound = 258 if g == 14 else moore_floor(g)
+            lb = lower_bound_order(g, b)
             assert lb % (2 * b) == 0
-            assert cfg.bound(g) <= lb < cfg.bound(g) + 2 * b
+            assert bound <= lb < bound + 2 * b
 
     def test_override_file(self, tmp_path):
-        path = tmp_path / "bounds.txt"
-        path.write_text("# comment\n6 20\n", encoding="ascii")
-        cfg = LowerBoundConfig.from_file(path)
-        assert cfg.bound(6) == 20
-        assert lower_bound_order(6, 4, cfg) == 24
+        path = tmp_path / "claims.txt"
+        path.write_text("HBG-CLAIMS 1\ng 6\nbound 20\n", encoding="ascii")
+        g, bound, _ = parse_claims_file(path)
+        assert (g, bound) == (6, 20)
+        assert lower_bound_order(6, 4, bound) == 24
 
     def test_override_below_floor_rejected(self, tmp_path):
-        path = tmp_path / "bounds.txt"
-        path.write_text("6 12\n", encoding="ascii")
+        path = tmp_path / "claims.txt"
+        path.write_text("HBG-CLAIMS 1\ng 6\nbound 12\n", encoding="ascii")
         with pytest.raises(ParseError):
-            LowerBoundConfig.from_file(path)
+            parse_claims_file(path)
 
 
 class TestVerify:
@@ -317,11 +316,11 @@ class TestNonExistenceReport:
 
 class TestClaims:
     def test_parse(self):
-        g, data = parse_claims("HBG-CLAIMS 1\ng 14\nexhausted 4 264\n"
-                               "exhausted 4 272\nupper 4 440 catalog fig\n")
-        assert g == 14
+        g, bound, data = parse_claims("HBG-CLAIMS 1\ng 14\nexhausted 4 264\n"
+                                      "exhausted 4 272\nupper 4 440 catalog fig\n")
+        assert (g, bound) == (14, None)
         assert data[4].exhausted == frozenset({264, 272})
-        assert data[4].uppers == ((440, False, "catalog fig"),)
+        assert data[4].uppers == [(440, False, "catalog fig")]
 
     def test_bad_lines_rejected(self):
         with pytest.raises(ParseError):

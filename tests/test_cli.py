@@ -52,7 +52,7 @@ class TestSearchCommand:
         assert code == 1 and "--step" in err
 
     def test_config_is_not_an_option(self, tmp_path, capsys):
-        # the lower-bound override file belongs to `table`; search reads none
+        # a lower-bound override is a `bound` line of a `table --claims` file
         config = tmp_path / "bounds.txt"
         config.write_text("6 20\n")
         out_dir = tmp_path / "out"
@@ -240,6 +240,30 @@ class TestTableReportCommands:
         assert "row 1 14 14 14 verified resolved" in out
         assert "row 2 16 16 16 claimed resolved-claimed" in out
 
+    def test_claims_bound_overrides_the_floor(self, tmp_path, capsys):
+        claims = tmp_path / "claims.txt"
+        claims.write_text("HBG-CLAIMS 1\ng 6\nbound 20\n", encoding="ascii")
+        code, out, err = run_cli("table", "--girth", "6", "--dir", str(tmp_path), "--sym", "1",
+                                 "--claims", str(claims), "--format", "kv", capsys=capsys)
+        assert code == 0
+        assert "row 1 20 20 - - open" in out
+
+    def test_config_is_not_an_option(self, tmp_path, capsys):
+        config = tmp_path / "bounds.txt"
+        config.write_text("6 20\n")
+        code, out, err = run_cli("table", "--girth", "6", "--dir", str(tmp_path), "--sym", "1",
+                                 "--config", str(config), capsys=capsys)
+        assert code == 1 and "--config" in err and out == ""
+
+    def test_floor_past_the_int_to_str_limit(self, tmp_path, capsys):
+        # the g=30000 floor 2(2^15000 - 1) has 4,516 digits
+        code, out, err = run_cli("table", "--girth", "30000", "--dir", str(tmp_path),
+                                 "--sym", "1", capsys=capsys)
+        assert code == 1 and out == "" and err.startswith("error: ")
+        code, out, err = run_cli("search", "--girth", "30000", "--sym", "1", "--min", "6",
+                                 "--max", "8", capsys=capsys)
+        assert code == 0 and out.splitlines()[-1] == "minimal none"
+
     def test_report_from_run_dir(self, heawood_run, capsys):
         out_dir, _ = heawood_run
         code, out, err = run_cli("report", "--girth", "6", "--dir", str(out_dir),
@@ -284,7 +308,7 @@ class TestModuleEntryPoint:
         assert "--cap" in proc.stdout
 
     def test_import_leaves_pool_and_resource_modules_out(self):
-        # a serial command never forks, and the bound table is a plain file
+        # a serial command never forks, and the published bounds are a constant
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import hbgsearch.cli; "
                 "print(sorted({'multiprocessing', 'importlib.resources'} & set(sys.modules)))")

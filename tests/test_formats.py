@@ -1,4 +1,4 @@
-"""Strict reading of the four file formats and the lower-bound config.
+"""Strict reading of the four file formats.
 
 Every malformed input must raise ParseError naming file and line; nothing
 else may escape a reader, and no command may end in a traceback.  The
@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from hbgsearch import CatalogEntry, LowerBoundConfig, ParseError, SearchSpec, cli, enumerate_order
+from hbgsearch import CatalogEntry, ParseError, SearchSpec, cli, enumerate_order
 from hbgsearch.catalog import (
     ResumeState,
     parse_certificate,
@@ -35,7 +35,8 @@ CERT = serialize_certificate(
 RESUME = serialize_resume(ResumeState(
     g=14, order=266, b=7, mode="prove-nonexistence", reduction=False, node_budget=200000,
     pending=(ShardRange(13, 131), ShardRange(175, 263))))
-CLAIMS = "HBG-CLAIMS 1\ng 14\nexhausted 4 264\nexhausted 4 272\nupper 4 440 catalog fig\n"
+CLAIMS = ("HBG-CLAIMS 1\ng 14\nexhausted 4 264\nexhausted 4 272\nupper 4 440 catalog fig\n"
+          "bound 258\n")
 
 FORMATS = {
     "witness": (WITNESS, parse_witness, parse_witness_file, serialize_witness),
@@ -176,17 +177,19 @@ def test_resume_integer_spelling_is_refused():
         parse_resume(RESUME.replace("n 266", "n 2_66"), source="r")
 
 
-@pytest.mark.parametrize("text, lineno", [
-    ("# bounds\n14 25_8\n", 2),
-    ("# café\n14 258\n", 1),
-    ("14 258 3\n", 1),
-    ("100000000 5\n", 1),
+@pytest.mark.parametrize("text, lineno, message", [
+    ("HBG-CLAIMS 1\ng 14\nbound 25_8\n", 3, "bound: expected an integer"),
+    ("HBG-CLAIMS 1\ng 14\nbound 2５8\n", 3, "is not ASCII"),
+    ("HBG-CLAIMS 1\ng 14\nbound 258 3\n", 3, "bound: expected an integer"),
+    ("HBG-CLAIMS 1\ng 100000000\nbound 5\n", 3, "bound 5 below the counting floor"),
+    ("HBG-CLAIMS 1\ng 13\nbound 258\n", 2, "g=13: girth must be even and >= 4"),
+    ("HBG-CLAIMS 1\n\ng 2\n", 3, "g=2: girth must be even and >= 4"),
 ])
-def test_config_line_is_refused_at_its_line(text, lineno, tmp_path):
-    path = tmp_path / "bounds.txt"
+def test_claims_bound_is_refused_at_its_line(text, lineno, message, tmp_path):
+    path = tmp_path / "claims.txt"
     path.write_bytes(text.encode("utf-8"))
-    with pytest.raises(ParseError, match=f"^{path}:{lineno}: "):
-        LowerBoundConfig.from_file(path)
+    with pytest.raises(ParseError, match=f"^{path}:{lineno}: .*{message}"):
+        parse_claims_file(path)
 
 
 def test_writer_refuses_what_the_reader_refuses():
@@ -198,7 +201,7 @@ UTF8_WITNESS = WITNESS.replace("found by search", "trouvé").encode("utf-8")
 BAD_CERT = CERT.replace("roots 3 11", "roots 3 x").encode("ascii")
 BAD_RESUME = RESUME.replace("shard 13 131", "shard 13 1_31").encode("ascii")
 BAD_CLAIMS = CLAIMS.replace("upper 4 440", "upper 4 y").encode("ascii")
-BAD_CONFIG = b"# bounds\n6 1_4\n"
+BAD_BOUND = b"HBG-CLAIMS 1\ng 6\nbound 1_4\n"
 
 
 @pytest.mark.parametrize("argv, files, bad, lineno, code", [
@@ -207,14 +210,14 @@ BAD_CONFIG = b"# bounds\n6 1_4\n"
     (["girth", "{w}"], {"w": UTF8_WITNESS}, "w", 6, 1),
     (["canon", "{w}"], {"w": UTF8_WITNESS}, "w", 6, 1),
     (["table", "--girth", "6", "--dir", "{d}", "--claims", "{c}"], {"c": BAD_CLAIMS}, "c", 5, 1),
-    (["table", "--girth", "6", "--dir", "{d}", "--sym", "1", "--config", "{f}"],
-     {"f": BAD_CONFIG}, "f", 2, 1),
+    (["table", "--girth", "6", "--dir", "{d}", "--sym", "1", "--claims", "{c}"],
+     {"c": BAD_BOUND}, "c", 3, 1),
     (["search", "--resume", "{r}"], {"r": BAD_RESUME}, "r", 8, 1),
     # a malformed evidence file in a scanned directory fails the command
     (["report", "--girth", "6", "--dir", "{d}"], {"x.cert": BAD_CERT}, "x.cert", 9, 1),
     (["table", "--girth", "6", "--dir", "{d}", "--sym", "1"], {"x.hbg": UTF8_WITNESS},
      "x.hbg", 6, 1),
-], ids=["verify", "render", "girth", "canon", "table-claims", "table-config",
+], ids=["verify", "render", "girth", "canon", "table-claims", "table-claims-bound",
         "search-resume", "report-dir", "table-dir"])
 def test_command_on_malformed_file_names_file_and_line(argv, files, bad, lineno, code,
                                                        tmp_path, capsys):
