@@ -16,7 +16,7 @@ from .catalog import (
     serialize_witness,
     verify_witness,
 )
-from .girth import GirthResult, girth_fast, girth_oracle, has_girth_at_least
+from .girth import GirthResult, girth_oracle, has_girth_at_least
 from .pattern import (
     DegenerateChordError,
     DivisibilityError,

@@ -486,6 +486,8 @@ def bounds_table(g: int, bs, bound: int | None,
     raised, witness above), not-exist (lower raised, no witness known) and
     open (no progress past lb).  A row whose bounds meet only through
     unverified claims is marked resolved-claimed, never plain resolved.
+    A row whose least witness lies below lb, or at an exhausted order, has
+    contradicting inputs and raises ValueError.
     """
     rows = []
     for b in bs:
@@ -498,10 +500,13 @@ def bounds_table(g: int, bs, bound: int | None,
         upper = None
         upper_verified = False
         if data.uppers:
-            upper, upper_verified, _ = min(data.uppers)
-        if upper is not None and upper in data.exhausted:
-            raise ValueError(
-                f"b={b}: order {upper} both witnessed and exhausted; inputs inconsistent")
+            upper, upper_verified, tag = min(data.uppers)
+            if upper < lb:
+                raise ValueError(f"b={b}: witness {tag} of order {upper} lies below the "
+                                 f"lower bound {lb}; inputs inconsistent")
+            if upper in data.exhausted:
+                raise ValueError(
+                    f"b={b}: order {upper} both witnessed and exhausted; inputs inconsistent")
         if upper is not None and proven_lower == upper:
             status = "resolved" if upper_verified else "resolved-claimed"
         elif proven_lower > lb and upper is not None:
@@ -538,31 +543,37 @@ def format_bounds_table(g: int, rows: list[BoundsRow], fmt: str = "text") -> str
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
+def evidence_refusal(cert: ExhaustionCertificate) -> str | None:
+    """Why a certificate is not non-existence evidence, or None when it is.
+
+    Non-existence rests on the plain full enumeration: a certificate counts
+    only when it is unreduced, complete over the full root span, leaf-free
+    and free of defects.
+    """
+    if cert.reduction:
+        return "reduction on; only an unreduced run is evidence"
+    if not cert.covers_order():
+        return f"status {cert.status}; not a complete run over the full root span"
+    if cert.leaves != 0:
+        return f"{cert.leaves} witnesses found"
+    return "; ".join(certificate_defects(cert)) or None
+
+
 def non_existence_report(g: int, certificates,
                          expected: dict[int, list[int]] | None = None) -> dict[int, list[int]]:
     """Ascending non-existence orders per symmetry factor, from certificates.
 
-    Only complete full-span certificates with zero leaves count as evidence;
-    anything else raises.  When `expected` is given, every listed order must
-    be backed by a certificate.
+    A certificate that evidence_refusal refuses raises.  When `expected` is
+    given, every listed order must be backed by a certificate.
     """
     by_b: dict[int, list[int]] = {}
     seen: dict[tuple[int, int], ExhaustionCertificate] = {}
     for cert in certificates:
         if cert.g != g:
             raise ValueError(f"certificate for g={cert.g} mixed into a g={g} report")
-        if cert.status == "budget-exceeded":
-            raise ValueError(
-                f"order {cert.order} (b={cert.b}): budget-breached run is not exhaustion evidence")
-        if not cert.covers_order():
-            raise ValueError(
-                f"order {cert.order} (b={cert.b}): certificate does not cover the full root span")
-        if cert.leaves != 0:
-            raise ValueError(
-                f"order {cert.order} (b={cert.b}): {cert.leaves} witnesses found; not non-existence")
-        defects = certificate_defects(cert)
-        if defects:
-            raise ValueError(f"order {cert.order} (b={cert.b}): " + "; ".join(defects))
+        refusal = evidence_refusal(cert)
+        if refusal:
+            raise ValueError(f"order {cert.order} (b={cert.b}): {refusal}")
         seen[(cert.b, cert.order)] = cert
         by_b.setdefault(cert.b, []).append(cert.order)
     if expected:

@@ -21,6 +21,7 @@ from .catalog import (
     ParseError,
     ResumeState,
     bounds_table,
+    evidence_refusal,
     format_bounds_table,
     format_non_existence,
     lower_bound_order,
@@ -79,7 +80,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--min", type=int, dest="min_order", help="smallest order to scan")
     s.add_argument("--max", type=int, dest="max_order", help="largest order to scan")
     s.add_argument("--mode", default="first",
-                   help="first|all|count|prove (default first)")
+                   help="first|all|prove (default first)")
     s.add_argument("--shards", type=int, default=1,
                    help="shards per order; above 1, also the worker process count")
     s.add_argument("--node-budget", type=int, default=None,
@@ -386,7 +387,8 @@ def _scan_directory(dir_path: str, g: int, witnesses: bool = True):
 
     A malformed file raises ParseError, so the command fails with its
     file:line instead of printing a table that silently lacks its evidence;
-    a well-formed certificate or witness that is not evidence is skipped.
+    a well-formed certificate that catalog.evidence_refusal refuses, or a
+    witness that fails verification, is skipped.
     With witnesses=False, .hbg files are not read at all.
     """
     inputs: dict[int, BoundsInput] = {}
@@ -398,12 +400,12 @@ def _scan_directory(dir_path: str, g: int, witnesses: bool = True):
             cert = parse_certificate_file(path)
             if cert.g != g:
                 continue
-            if cert.covers_order() and cert.leaves == 0:
+            refusal = evidence_refusal(cert)
+            if refusal:
+                skipped.append(f"{path}: not non-existence evidence ({refusal})")
+            else:
                 inputs.setdefault(cert.b, BoundsInput()).exhausted.add(cert.order)
                 certs.append(cert)
-            else:
-                skipped.append(f"{path}: not full exhaustion evidence "
-                               f"(status {cert.status}, leaves {cert.leaves})")
         elif witnesses and name.endswith(".hbg"):
             entry = parse_witness_file(path)
             report = verify_witness(entry)

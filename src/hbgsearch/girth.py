@@ -1,4 +1,4 @@
-"""Girth computation for expanded graphs and offset patterns.
+"""Girth computation for expanded graphs and partial offset assignments.
 
 There are two BFS loops, one reference and one for the kernel.
 
@@ -10,12 +10,12 @@ There are two BFS loops, one reference and one for the kernel.
   in every pattern graph, it stops one level earlier: every cycle is then
   even, and one shorter than the best is found while expanding a depth
   below best/2 - 1 (girth_oracle gives the proof).  girth_oracle runs it
-  from every vertex.  girth_fast and has_girth_at_least run it from the
-  2b class representatives only: rotation by 2b maps the graph to itself,
-  and shifting a cycle down by a multiple of 2b puts its least vertex in
+  from every vertex.  has_girth_at_least runs it from the 2b class
+  representatives only: rotation by 2b maps the graph to itself, and
+  shifting a cycle down by a multiple of 2b puts its least vertex in
   0..2b-1 without wrapping, so the shifted cycle still lies at or above
-  that vertex.  girth_fast agreeing with girth_oracle is a tested
-  contract.
+  that vertex.  tests/helpers.py runs it the same way on a whole pattern
+  and tests that against girth_oracle.
 - level_sets is the kernel's BFS over the offset table itself, with no
   adjacency list built.  Each BFS level is one n-bit Python int (bit x set
   means vertex x), so a step is a fixed number of big-int operations, not
@@ -96,7 +96,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .pattern import ExpandedGraph, OffsetPattern, expand
+from .pattern import ExpandedGraph
 
 if TYPE_CHECKING:  # pragma: no cover
     from .search import PartialAssignment
@@ -182,19 +182,6 @@ def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
         for v in reached:
             dist[v] = -1
     return GirthResult(value=best if best <= cap else None, cap=cap)
-
-
-def girth_fast(pattern: OffsetPattern, cap: int) -> GirthResult:
-    """Girth of the expanded pattern using only the 2b class representatives.
-
-    Rotation of the cycle by a multiple of 2b is an automorphism of the
-    expanded graph.  A shortest cycle with least vertex r, shifted down by
-    r - (r mod 2b), has least vertex r mod 2b in 0..2b-1, and none of its
-    vertices wraps below 0, so the BFS from that root, which walks only
-    vertices at or above it, finds it.  Agrees exactly with
-    girth_oracle(expand(pattern), cap).
-    """
-    return _shortest_cycle(expand(pattern).adjacency, range(pattern.positions), cap)
 
 
 def chord_cycle_shorter_than(
@@ -382,8 +369,8 @@ def has_girth_at_least(partial: "PartialAssignment", g: int) -> bool:
     False, every extension and every larger g stays False.  The graph is
     built explicitly and searched by the oracle's BFS from the 2b class
     representatives only: rotation by 2b maps the graph to itself, so every
-    cycle has a rotated copy whose least vertex is one of them, as
-    girth_fast describes.
+    cycle has a rotated copy whose least vertex is one of them, as the
+    module docstring describes.
     """
     if g <= 3:
         return True

@@ -42,12 +42,11 @@ from .pattern import (
 
 ENGINE_TAG = "hbgsearch-0.1.0"
 
-MODES = ("first-witness", "all-witnesses", "count-only", "prove-nonexistence")
+MODES = ("first-witness", "all-witnesses", "prove-nonexistence")
 
 _MODE_ALIASES = {
     "first": "first-witness",
     "all": "all-witnesses",
-    "count": "count-only",
     "prove": "prove-nonexistence",
 }
 
@@ -500,7 +499,7 @@ def enumerate_order(
 
 
 def outcome_status(witnesses, cert: ExhaustionCertificate) -> str:
-    # count-only runs have no witness records but still count leaves
+    # prove runs keep no witness records but still count leaves
     if witnesses or cert.leaves > 0:
         return "witness"
     if cert.covers_order():

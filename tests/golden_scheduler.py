@@ -8,23 +8,25 @@ multi-order scans.  `test_golden_scheduler.py` recomputes the grid and
 compares it with `data/golden_scheduler.json` byte for byte.
 
 Regenerate the data only in a change that alters these bytes on purpose,
-and say so in that change:
+and say so in that change; the script prints the case ids it added,
+removed and changed:
 
     PYTHONPATH=src python tests/golden_scheduler.py
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from hbgsearch.catalog import ResumeState, serialize_certificate, serialize_resume
 from hbgsearch.search import SearchSpec, min_order
 
+from helpers import write_golden
+
 DATA_PATH = Path(__file__).resolve().parent / "data" / "golden_scheduler.json"
 
 SEARCHES = ((8, 3, (42,)), (6, 1, (14,)), (10, 2, (40,)), (14, 3, (258,)))
-MODES = ("first", "all", "count", "prove")
+MODES = ("first", "all", "prove")
 BUDGETS = (None, 1, 50, 4000)
 SERIAL_PATHS = ((1, None), (3, None))  # (shards, processes)
 POOLED = (3, 2)
@@ -43,7 +45,7 @@ def cases() -> list[dict]:
     pooled = [
         (8, 3, (42,), "all", False, None),
         (8, 3, (42,), "first", True, 50),
-        (10, 2, (40,), "count", False, 1),
+        (10, 2, (40,), "prove", False, 1),
         (14, 3, (258,), "prove", False, 4000),
         (8, 3, (30, 36, 42), "first", False, None),
     ]
@@ -96,8 +98,7 @@ def run_case(case: dict) -> dict:
 
 def main():
     golden = {case_id(c): run_case(c) for c in cases()}
-    DATA_PATH.parent.mkdir(exist_ok=True)
-    DATA_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    write_golden(DATA_PATH, golden)
     print(f"wrote {len(golden)} cases to {DATA_PATH}")
 
 

@@ -10,7 +10,8 @@ where it ran.  `test_golden_verify.py` replays the run and compares every
 byte with `data/golden_verify.json`.
 
 Regenerate the data only in a change that alters these bytes on purpose,
-and say so in that change:
+and say so in that change; the script prints the records it added,
+removed and changed:
 
     PYTHONPATH=src python tests/golden_verify.py
 """
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
 from hbgsearch import cli
+
+from helpers import write_golden
 
 DATA_PATH = Path(__file__).resolve().parent / "data" / "golden_verify.json"
 
@@ -62,11 +64,17 @@ def record(directory: str) -> dict:
             "commands": [_run(argv, directory) for argv in commands(names)]}
 
 
+def records(golden: dict) -> dict:
+    """The recorded data by name: the search, each file, and each command by its argv."""
+    return {"search": golden["search"],
+            **{f"file {name}": text for name, text in golden["files"].items()},
+            **{"command " + " ".join(cmd["argv"]): cmd for cmd in golden["commands"]}}
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         golden = record(os.path.join(tmp, "run"))
-    DATA_PATH.parent.mkdir(exist_ok=True)
-    DATA_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    write_golden(DATA_PATH, golden, records)
     print(f"wrote {len(golden['files'])} files and {len(golden['commands'])} commands "
           f"to {DATA_PATH}", file=sys.stderr)
 

@@ -3,16 +3,20 @@
 The brute-force survey is the unpruned reference the search kernel is
 tested against; random patterns feed the property tests.  The edge-removal
 girth is a reference for the oracle's BFS on arbitrary simple graphs, and
-the per-vertex distance BFS one for the kernel's bit-set BFS.
+the per-vertex distance BFS one for the kernel's bit-set BFS.  girth_fast
+runs the oracle's BFS from the 2b class representatives only, the shortcut
+has_girth_at_least takes.
 Pattern transforms (the canonical group of `canonical_form`) and
 search-prefix replay build the inputs of the symmetry and predicate tests.
+`write_golden` rewrites a golden data file and says what it changed.
 """
 
 import itertools
+import json
 from collections import deque
 from dataclasses import dataclass
 
-from hbgsearch.girth import girth_oracle
+from hbgsearch.girth import GirthResult, _shortest_cycle, girth_oracle
 from hbgsearch.pattern import (
     DivisibilityError,
     OffsetPattern,
@@ -112,6 +116,19 @@ def _random_offsets(rng, m: int, b: int) -> list[int] | None:
         return False
 
     return table if go() else None
+
+
+def girth_fast(pattern: OffsetPattern, cap: int) -> GirthResult:
+    """Girth of the expanded pattern using only the 2b class representatives.
+
+    Rotation of the cycle by a multiple of 2b is an automorphism of the
+    expanded graph.  A shortest cycle with least vertex r, shifted down by
+    r - (r mod 2b), has least vertex r mod 2b in 0..2b-1, and none of its
+    vertices wraps below 0, so the BFS from that root, which walks only
+    vertices at or above it, finds it.  Agrees exactly with
+    girth_oracle(expand(pattern), cap).
+    """
+    return _shortest_cycle(expand(pattern).adjacency, range(pattern.positions), cap)
 
 
 def edge_removal_girth(adj) -> int | None:
@@ -241,3 +258,25 @@ def assignment_prefix(pattern: OffsetPattern, pairs: int) -> PartialAssignment:
         table[(j + d) % b2] = pattern.order - d
         done += 1
     return PartialAssignment(m=pattern.m, b=pattern.b, offsets=tuple(table))
+
+
+def write_golden(path, golden: dict, records=dict) -> None:
+    """Write golden data as JSON, and print the recorded keys it changed.
+
+    `records` maps the data to a dict of named records; each record added,
+    removed or changed against the file being replaced is printed on its own
+    line, so a change that regenerates the data can list what moved.
+    """
+    text = json.dumps(golden, indent=1, sort_keys=True) + "\n"
+    old = records(json.loads(path.read_text())) if path.exists() else {}
+    new = records(json.loads(text))
+    counts = {"added": 0, "removed": 0, "changed": 0}
+    for key in sorted(old.keys() | new.keys()):
+        what = ("added" if key not in old else "removed" if key not in new
+                else "changed" if old[key] != new[key] else None)
+        if what:
+            counts[what] += 1
+            print(f"{what} {key}")
+    print(", ".join(f"{k} {v}" for k, v in counts.items()))
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)

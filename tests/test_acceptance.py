@@ -17,7 +17,6 @@ from hbgsearch import (
     derived_symmetry_factors,
     enumerate_order,
     expand,
-    girth_fast,
     girth_oracle,
     lower_bound_order,
     min_order,
@@ -28,7 +27,12 @@ from hbgsearch import (
 from hbgsearch.cli import main
 from hbgsearch.search import candidate_values
 
-from helpers import brute_force_canonical_witnesses, brute_force_survey, random_pattern
+from helpers import (
+    brute_force_canonical_witnesses,
+    brute_force_survey,
+    girth_fast,
+    random_pattern,
+)
 
 TABLE2_B3_ORDERS = list(range(258, 385, 6))
 BRUTE_SPACE_CAP = 8_000_000

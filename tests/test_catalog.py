@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hbgsearch import (
@@ -16,6 +18,7 @@ from hbgsearch import (
 )
 from hbgsearch.catalog import (
     ResumeState,
+    evidence_refusal,
     format_bounds_table,
     format_non_existence,
     parse_certificate,
@@ -221,6 +224,7 @@ class TestResumeFormat:
         (7, "shard 13 z"),
         (6, "reduction maybe"),
         (5, "mode fastest"),
+        (5, "mode count-only"),
     ])
     def test_malformed_line_names_file_and_line(self, lineno, bad):
         lines = ["HBG-RESUME 1", "g 14", "n 266", "b 7", "mode prove-nonexistence",
@@ -262,6 +266,11 @@ class TestBoundsTable:
         inputs = {1: BoundsInput(exhausted=frozenset({14}), uppers=((14, True, "x"),))}
         with pytest.raises(ValueError):
             bounds_table(6, [1], None, inputs)
+
+    def test_witness_below_the_lower_bound_rejected(self):
+        inputs = {1: BoundsInput(uppers=[(14, True, "g6_n14_b1_w000.hbg")])}
+        with pytest.raises(ValueError, match="g6_n14_b1_w000.hbg .*lower bound 20"):
+            bounds_table(6, [1], 20, inputs)
 
     def test_formats(self):
         inputs = {1: BoundsInput(uppers=((14, True, "x"),))}
@@ -312,6 +321,23 @@ class TestNonExistenceReport:
         certs = self.certs_for(6, 1, [12])
         with pytest.raises(ValueError):
             non_existence_report(8, certs)
+
+    def test_reduced_cert_rejected(self):
+        spec = SearchSpec(g=6, b=1, orders=(12,), mode="prove", reduction=True)
+        cert = enumerate_order(spec, 12).certificate
+        assert cert.covers_order() and cert.leaves == 0
+        assert "reduction on" in evidence_refusal(cert)
+        with pytest.raises(ValueError, match="reduction on"):
+            non_existence_report(6, [cert])
+
+    def test_evidence_is_unreduced_complete_and_leaf_free(self):
+        (proof,) = self.certs_for(6, 1, [12])
+        (found,) = self.certs_for(6, 1, [14], mode="all")
+        assert evidence_refusal(proof) is None
+        assert evidence_refusal(found) == "2 witnesses found"
+        partial = replace(proof, covered=(), expansions=0, conflicts=0, girth_rejects=0,
+                          sym_skips=0, nodes=0)
+        assert "full root span" in evidence_refusal(partial)
 
 
 class TestClaims:

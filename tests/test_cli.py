@@ -62,6 +62,13 @@ class TestSearchCommand:
         assert code == 1 and "--config" in err and out == ""
         assert not out_dir.exists() and os.listdir(tmp_path) == ["bounds.txt"]
 
+    def test_count_is_not_a_mode(self, capsys):
+        code, out, err = run_cli("search", "--girth", "6", "--sym", "1", "--min", "14",
+                                 "--max", "14", "--mode", "count", capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == ("usage error: unknown search mode 'count'; choose from "
+                       "first-witness, all-witnesses, prove-nonexistence\n")
+
     def test_missing_flags_is_usage_error(self, capsys):
         code, out, err = run_cli("search", "--girth", "6", capsys=capsys)
         assert code == 1 and "usage error" in err
@@ -248,6 +255,35 @@ class TestTableReportCommands:
         assert code == 0
         assert "row 1 20 20 - - open" in out
 
+    def test_witness_below_the_claimed_bound_is_an_error(self, tmp_path, heawood_run, capsys):
+        out_dir, _ = heawood_run
+        claims = tmp_path / "claims.txt"
+        claims.write_text("HBG-CLAIMS 1\ng 6\nbound 20\n", encoding="ascii")
+        code, out, err = run_cli("table", "--girth", "6", "--dir", str(out_dir),
+                                 "--claims", str(claims), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == ("error: b=1: witness g6_n14_b1_w000.hbg of order 14 "
+                                        "lies below the lower bound 20; inputs inconsistent")
+
+    def test_reduced_certificate_is_not_evidence(self, tmp_path, capsys):
+        # a complete, leaf-free run with orbit reduction on: not the plain
+        # full enumeration that non-existence rests on
+        cert = tmp_path / "g14_n264_b4.cert"
+        cert.write_text("HBG-CERT 1\ng 14\nn 264\nb 4\nmode prove-nonexistence\n"
+                        "reduction on\npositions 8\npairs 4\nroots 3 131\ncovered 3 131\n"
+                        "status complete\nexpansions 89505\nconflicts 44504\n"
+                        "girth-rejects 34401\nsym-skips 9912\nnodes 688\nleaves 0\n"
+                        "engine hbgsearch-0.1.0\n", encoding="ascii")
+        note = f"note: skipped {cert}: not non-existence evidence (reduction on"
+        code, out, err = run_cli("table", "--girth", "14", "--dir", str(tmp_path),
+                                 "--sym", "4", capsys=capsys)
+        assert code == 0 and err.startswith(note)
+        assert out.splitlines()[-1].split() == ["4", "264", "264", "-", "open"]
+        code, out, err = run_cli("report", "--girth", "14", "--dir", str(tmp_path),
+                                 capsys=capsys)
+        assert code == 0 and err.startswith(note)
+        assert out.splitlines()[-1] == "(no certified orders)"
+
     def test_config_is_not_an_option(self, tmp_path, capsys):
         config = tmp_path / "bounds.txt"
         config.write_text("6 20\n")
@@ -370,7 +406,7 @@ class TestResumeSafety:
     def test_certificate_of_another_search_is_kept(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "out"
         resume = self._breached_run(out_dir, capsys)
-        resume.write_text(resume.read_text().replace("prove-nonexistence", "count-only"))
+        resume.write_text(resume.read_text().replace("prove-nonexistence", "all-witnesses"))
         before = _snapshot(out_dir)
         monkeypatch.setattr(cli, "enumerate_order", _no_enumeration)
         code, out, err = run_cli("search", "--resume", str(resume), "--quiet",

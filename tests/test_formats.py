@@ -116,6 +116,7 @@ CERT_LINES = CERT.splitlines()
     ("reduction", "reduction maybe"),
     ("mode", "mode bogus"),
     ("mode", "mode all"),
+    ("mode", "mode count-only"),
     ("g", "g 1_4"),
     ("n", "n +14"),
     ("nodes", "nodes １"),

@@ -5,14 +5,13 @@ import pytest
 from hbgsearch import (
     GirthResult,
     expand,
-    girth_fast,
     girth_oracle,
     has_girth_at_least,
 )
 from hbgsearch.girth import _shortest_cycle
 from hbgsearch.search import partial_assignment
 
-from helpers import assignment_prefix, edge_removal_girth, random_pattern
+from helpers import assignment_prefix, edge_removal_girth, girth_fast, random_pattern
 
 
 class TestOracle:

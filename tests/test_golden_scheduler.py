@@ -5,6 +5,7 @@ import json
 import pytest
 
 from golden_scheduler import DATA_PATH, case_id, cases, run_case
+from helpers import write_golden
 
 GOLDEN = json.loads(DATA_PATH.read_text())
 CASES = cases()
@@ -17,3 +18,13 @@ def test_grid_matches_recorded_cases():
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_scheduler_bytes_match_golden(case):
     assert run_case(case) == GOLDEN[case_id(case)]
+
+
+def test_rewrite_lists_the_keys_it_changed(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    write_golden(path, {"a": 1, "b": 2})
+    capsys.readouterr()
+    write_golden(path, {"b": 3, "c": 4})
+    assert capsys.readouterr().out.splitlines() == [
+        "removed a", "changed b", "added c", "added 1, removed 1, changed 1"]
+    assert json.loads(path.read_text()) == {"b": 3, "c": 4}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from golden_verify import DATA_PATH, record
+from golden_verify import DATA_PATH, record, records
 
 GOLDEN = json.loads(DATA_PATH.read_text())
 
@@ -17,6 +17,10 @@ def replay(tmp_path_factory):
 def test_search_output_matches_golden(replay):
     assert replay["search"] == GOLDEN["search"]
     assert replay["files"] == GOLDEN["files"]
+
+
+def test_every_record_has_its_own_name():
+    assert len(records(GOLDEN)) == 1 + len(GOLDEN["files"]) + len(GOLDEN["commands"])
 
 
 def _command_id(argv: list[str]) -> str:

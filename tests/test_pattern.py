@@ -12,7 +12,6 @@ from hbgsearch import (
     derived_symmetry_factors,
     expand,
     expansion_defects,
-    girth_fast,
     validate_pattern,
 )
 from hbgsearch.pattern import minimal_position_period
@@ -22,6 +21,7 @@ from helpers import (
     apply_transform,
     canonical_group,
     compose_transforms,
+    girth_fast,
     random_pattern,
 )
 

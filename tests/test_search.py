@@ -8,6 +8,7 @@ import pytest
 from hbgsearch import (
     SearchSpec,
     canonical_form,
+    derived_symmetry_factors,
     enumerate_order,
     enumerate_order_sharded,
     expand,
@@ -40,6 +41,8 @@ class TestSpec:
         assert normalize_mode("prove-nonexistence") == "prove-nonexistence"
         with pytest.raises(ValueError):
             normalize_mode("fastest")
+        with pytest.raises(ValueError, match="prove-nonexistence$"):
+            normalize_mode("count")
 
     def test_rejects_incompatible_orders(self):
         with pytest.raises(Exception):
@@ -89,8 +92,8 @@ class TestKnownInstances:
         oc = enumerate_order(spec_for(8, 1, [6], mode="prove"), 6)
         assert oc.status == "exhausted" and oc.certificate.expansions == 0
 
-    def test_count_only_reports_existence(self):
-        oc = enumerate_order(spec_for(6, 1, [14], mode="count"), 14)
+    def test_prove_reports_existence_without_records(self):
+        oc = enumerate_order(spec_for(6, 1, [14], mode="prove"), 14)
         assert oc.status == "witness" and oc.witnesses == ()
         assert oc.certificate.leaves == 2
 
@@ -139,7 +142,7 @@ class TestPartition:
             assert got == roots
 
     def test_merge_counts_match_serial(self):
-        for mode in ("prove", "all", "count"):
+        for mode in ("prove", "all"):
             spec = spec_for(8, 3, [42], mode=mode)
             serial = enumerate_order(spec, 42)
             for shards in (2, 4, 9):
@@ -264,6 +267,24 @@ class TestBruteForceEquivalence:
     def test_brute_force_size_guard(self):
         with pytest.raises(ValueError):
             brute_force_survey(10, 40, limit=1000)
+
+
+class TestCrossFactorIdentity:
+    """Witnesses of one order agree across symmetry factors b and kb.
+
+    A pattern that repeats with period 2b also repeats with period 2kb, so
+    the b-row witnesses are exactly the kb-row witnesses whose derived
+    factors include b, cut to their first 2b offsets.  Unlike the brute
+    force above, this reaches g=10.
+    """
+
+    @pytest.mark.parametrize("g, b, kb, order", [(10, 2, 4, 80), (8, 2, 6, 48), (8, 3, 6, 48)])
+    def test_kb_row_restricted_to_b_is_the_b_row(self, g, b, kb, order):
+        wide = enumerate_order(spec_for(g, kb, [order]), order).witnesses
+        narrow = enumerate_order(spec_for(g, b, [order]), order).witnesses
+        cut = {canonical_form(validate_pattern(order // 2, b, w.pattern.offsets[:2 * b])).offsets
+               for w in wide if b in derived_symmetry_factors(w.pattern)}
+        assert narrow and cut == {w.pattern.offsets for w in narrow}
 
 
 class TestNonMonotonicity:
