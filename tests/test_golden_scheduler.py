@@ -9,6 +9,8 @@ from helpers import write_golden
 
 GOLDEN = json.loads(DATA_PATH.read_text())
 CASES = cases()
+PROVE_WITH_ALL = [c for c in CASES if c["mode"] == "prove"
+                  and case_id(dict(c, mode="all")) in GOLDEN]
 
 
 def test_grid_matches_recorded_cases():
@@ -18,6 +20,27 @@ def test_grid_matches_recorded_cases():
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_scheduler_bytes_match_golden(case):
     assert run_case(case) == GOLDEN[case_id(case)]
+
+
+def _without_mode(text):
+    return [line for line in text.splitlines() if not line.startswith("mode ")]
+
+
+@pytest.mark.parametrize("case", PROVE_WITH_ALL, ids=case_id)
+def test_prove_walks_the_same_tree_as_all(case):
+    """`prove` differs from `all` only in its mode line and in keeping no
+    witnesses: same orders, statuses, counters, coverage and resume shards."""
+    prove, all_ = GOLDEN[case_id(case)], GOLDEN[case_id(dict(case, mode="all"))]
+    assert prove["minimal"] == all_["minimal"]
+    assert [p["order"] for p in prove["per_order"]] == [a["order"] for a in all_["per_order"]]
+    for p, a in zip(prove["per_order"], all_["per_order"]):
+        assert p["witnesses"] == []
+        assert p["status"] == a["status"]
+        assert "mode prove-nonexistence" in p["certificate"].splitlines()
+        assert _without_mode(p["certificate"]) == _without_mode(a["certificate"])
+        assert (p["resume"] is None) == (a["resume"] is None)
+        if p["resume"] is not None:
+            assert _without_mode(p["resume"]) == _without_mode(a["resume"])
 
 
 def test_rewrite_lists_the_keys_it_changed(tmp_path, capsys):
