@@ -37,7 +37,14 @@ from .pattern import (
     expansion_defects,
     validate_pattern,
 )
-from .search import COUNTERS, MODES, ExhaustionCertificate, ShardRange, certificate_defects
+from .search import (
+    COUNTERS,
+    MODES,
+    ExhaustionCertificate,
+    ShardRange,
+    certificate_defects,
+    root_span_defect,
+)
 
 
 class ParseError(ValueError):
@@ -399,6 +406,9 @@ def parse_certificate(text: str, source: str = "<string>") -> ExhaustionCertific
     if fields["positions"] != 2 * cert.b or fields["pairs"] != cert.b:
         key = "positions" if fields["positions"] != 2 * cert.b else "pairs"
         raise ParseError(source, line[key], "positions/pairs lines inconsistent with b")
+    span = root_span_defect(cert)
+    if span:
+        raise ParseError(source, line["roots"], span)
     defects = certificate_defects(cert)
     if defects:
         raise ParseError(source, line[_COUNTERS[0]],
@@ -486,8 +496,8 @@ def bounds_table(g: int, bs, bound: int | None,
     raised, witness above), not-exist (lower raised, no witness known) and
     open (no progress past lb).  A row whose bounds meet only through
     unverified claims is marked resolved-claimed, never plain resolved.
-    A row whose least witness lies below lb, or at an exhausted order, has
-    contradicting inputs and raises ValueError.
+    A row whose least witness lies below lb, or with any witness at an
+    exhausted order, has contradicting inputs and raises ValueError.
     """
     rows = []
     for b in bs:
@@ -499,14 +509,15 @@ def bounds_table(g: int, bs, bound: int | None,
         proven_lower = k
         upper = None
         upper_verified = False
+        for order, _, tag in data.uppers:
+            if order in data.exhausted:
+                raise ValueError(f"b={b}: order {order} ({tag}) both witnessed and "
+                                 "exhausted; inputs inconsistent")
         if data.uppers:
             upper, upper_verified, tag = min(data.uppers)
             if upper < lb:
                 raise ValueError(f"b={b}: witness {tag} of order {upper} lies below the "
                                  f"lower bound {lb}; inputs inconsistent")
-            if upper in data.exhausted:
-                raise ValueError(
-                    f"b={b}: order {upper} both witnessed and exhausted; inputs inconsistent")
         if upper is not None and proven_lower == upper:
             status = "resolved" if upper_verified else "resolved-claimed"
         elif proven_lower > lb and upper is not None:

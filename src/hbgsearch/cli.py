@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--resume", default=None, help="resume file from an aborted run")
     s.add_argument("--out", default=None, help="output directory for witness/certificate files")
     s.add_argument("--progress", action="store_true",
-                   help="periodic progress on stderr: per root, or per shard when pooled")
+                   help="periodic progress on stderr, per root")
     s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=cmd_search)
 

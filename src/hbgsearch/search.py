@@ -23,9 +23,9 @@ counters describe.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import itertools
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -190,9 +190,23 @@ class ExhaustionCertificate:
 COUNTERS = ("expansions", "conflicts", "girth_rejects", "sym_skips", "nodes", "leaves")
 
 
+def root_span_defect(cert: ExhaustionCertificate) -> str | None:
+    """Why cert's roots are not the root span of the search it names, or None."""
+    try:
+        SearchSpec(cert.g, cert.b, (cert.order,), cert.mode)
+    except ValueError as exc:
+        return f"no such search: {exc}"
+    roots = root_values(cert.order, cert.reduction)
+    if (cert.root_lo, cert.root_hi) != (roots[0], roots[-1]):
+        return (f"roots {cert.root_lo} {cert.root_hi} are not the root span "
+                f"{roots[0]} {roots[-1]} of order {cert.order}")
+    return None
+
+
 def certificate_defects(cert: ExhaustionCertificate) -> list[str]:
     """Internal consistency checks for a certificate."""
-    defects = []
+    span = root_span_defect(cert)
+    defects = [span] if span else []
     if cert.nodes != cert.expansions - cert.conflicts - cert.girth_rejects - cert.sym_skips:
         defects.append("nodes != expansions - conflicts - girth_rejects - sym_skips")
     if cert.leaves > cert.nodes:
@@ -341,11 +355,7 @@ class _Kernel:
 
 @dataclass
 class _Budget:
-    """The node allowance and wall deadline of one scan, spent as it goes.
-
-    It compares by value: `_ScanPool.imap_shards` finds an order's streamed
-    shards by comparing payloads, each of which holds a share of a budget.
-    """
+    """The node allowance and wall deadline of one scan, spent as it goes."""
 
     remaining: int | None
     deadline: float | None = None
@@ -364,11 +374,6 @@ class _Budget:
     def consume(self, k: int):
         if self.remaining is not None:
             self.remaining -= k
-
-    def share(self, k: int) -> _Budget:
-        """One of k even shares of what is left, never empty, same deadline."""
-        return _Budget(None if self.remaining is None else max(1, self.remaining // k),
-                       self.deadline)
 
 
 def _coalesce(ranges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -409,12 +414,39 @@ def _witness_records(spec: SearchSpec, order: int, raw_leaves) -> tuple[WitnessR
     return tuple(records)
 
 
+_kernel_counts = operator.attrgetter(*COUNTERS)
+_NO_RUN = (None, (), [], False, False)  # read once the records run out
+
+
+def _root_runs(spec: SearchSpec, order: int, roots, budget: _Budget):
+    """Run the kernel below each root in turn while `budget` lasts, spending it.
+
+    Yields one record per root it runs: (root, the root's COUNTERS as a
+    tuple, its raw leaves, breached, halted), where breached means it ran
+    out of allowance, so its counts are partial, and halted that it stopped
+    at its first witness.  It stops after a breach or a halt.  Pulled
+    lazily, it runs a root only when asked for that root's record.  The
+    records are plain tuples because pool workers pickle them.
+    """
+    kern = _Kernel(order, spec.b, spec.g, spec.reduction, _collect_mode(spec.mode))
+    for root in roots:
+        if budget.spent():
+            return
+        kern.run_root(root, budget.remaining)
+        budget.consume(kern.expansions)
+        yield (root, _kernel_counts(kern), kern.witnesses, kern.breached,
+               kern.stop and not kern.breached)
+        if kern.stop:
+            return
+
+
 def enumerate_order(
     spec: SearchSpec,
     order: int,
     ranges: list[ShardRange] | None = None,
     budget: _Budget | None = None,
     progress=None,
+    runs=None,
 ) -> OrderOutcome:
     """Enumerate all patterns of one order within the given root ranges.
 
@@ -423,6 +455,17 @@ def enumerate_order(
     wall-clock breach the unfinished root values are reported as pending and
     the (deterministic) counters describe only fully completed roots.  The
     call spends `budget`, the scan's, or else a fresh one from the spec.
+
+    This loop alone decides which roots count.  `runs` iterates over the
+    `_root_runs` records of the wanted roots in ascending order, run ahead
+    elsewhere (a pool's shards); by default each root runs here when the
+    loop reaches it, on a copy of the budget.  A root counts when its
+    record is there, did not breach, and needs no more expansions than the
+    budget has left; the first root that does not count starts the pending
+    range.  A kernel run breaches exactly when it needs more expansions
+    than its allowance, a record run ahead had at least the allowance left
+    here, and a record is missing only when the budget is spent here too,
+    so every run decides as the serial one does.
 
     `progress`, if given, is called as progress(order, roots_done,
     roots_total, expansions_so_far) after each completed root subtree.
@@ -435,8 +478,8 @@ def enumerate_order(
         ranges = [ShardRange(span_lo, span_hi)]
     last_hi = None
     for rng in ranges:
-        if rng.lo > rng.hi or rng.lo < span_lo or rng.hi > span_hi:
-            raise ValueError(f"root range {rng.lo}..{rng.hi} outside span "
+        if rng.lo > rng.hi or rng.lo < span_lo or rng.hi > span_hi or rng.lo % 2 == 0:
+            raise ValueError(f"root range {rng.lo}..{rng.hi} not odd or outside span "
                              f"{span_lo}..{span_hi}")
         if last_hi is not None and rng.lo <= last_hi:
             raise ValueError("root ranges must be ascending and disjoint")
@@ -444,54 +487,44 @@ def enumerate_order(
     if budget is None:
         budget = _Budget.of(spec)
 
-    totals = dict.fromkeys(COUNTERS, 0)
+    totals = [0] * len(COUNTERS)
     covered: list[tuple[int, int]] = []
     pending: list[ShardRange] = []
     raw_leaves: list[tuple[int, ...]] = []
     status = "complete"
+    wanted = [d for rng in ranges for d in roots if rng.lo <= d <= rng.hi]
     if spec.g > order:
         # the Hamiltonian cycle itself is shorter than g: nothing to search
-        covered, ranges = [(rng.lo, rng.hi) for rng in ranges], []
-
-    kern = _Kernel(order, spec.b, spec.g, spec.reduction, _collect_mode(spec.mode))
-    roots_total = sum(1 for d in roots for rng in ranges if rng.lo <= d <= rng.hi)
-    roots_done = 0
-    for rng in ranges:
-        if status == "budget-exceeded":
-            pending.append(rng)
-            continue
-        if status == "halted-witness":
+        covered, wanted = [(rng.lo, rng.hi) for rng in ranges], []
+    if runs is None:
+        runs = _root_runs(spec, order, wanted, replace(budget))
+    done = 0  # the roots counted are wanted[:done]
+    for root in wanted:
+        ran, counts, leaves, breached, halted = next(runs, _NO_RUN)
+        # counts[0] is the root's expansions, the first of COUNTERS
+        if (ran != root or breached
+                or (budget.remaining is not None and counts[0] > budget.remaining)):
+            status = "budget-exceeded"
+            pending = [ShardRange(max(rng.lo, root), rng.hi) for rng in ranges if rng.hi >= root]
             break
-        rng_roots = [d for d in roots if rng.lo <= d <= rng.hi]
-        done_hi = None
-        for root in rng_roots:
-            if budget.spent():
-                status = "budget-exceeded"
-            else:
-                kern.run_root(root, budget.remaining)
-                if kern.breached:
-                    status = "budget-exceeded"
-            if status == "budget-exceeded":
-                pending.append(ShardRange(root, rng.hi))
-                break
-            for key in COUNTERS:
-                totals[key] += getattr(kern, key)
-            budget.consume(kern.expansions)
-            raw_leaves.extend(kern.witnesses)
-            roots_done += 1
-            if progress is not None:
-                progress(order, roots_done, roots_total, totals["expansions"])
-            if kern.stop:  # first-witness halt: this root is not fully covered
-                status = "halted-witness"
-                break
-            done_hi = root
-        if done_hi is not None:
-            covered.append((rng_roots[0], done_hi))
+        totals = list(map(operator.add, totals, counts))
+        budget.consume(counts[0])
+        raw_leaves.extend(leaves)
+        if progress is not None:
+            progress(order, done + 1, len(wanted), totals[0])
+        if halted:  # first-witness halt: this root is not fully covered
+            status = "halted-witness"
+            break
+        done += 1
+    if done:
+        # every odd value in the span is a root, so rng.lo is its range's first root
+        last = wanted[done - 1]
+        covered = [(rng.lo, min(rng.hi, last)) for rng in ranges if rng.lo <= last]
 
     cert = ExhaustionCertificate(
         g=spec.g, order=order, b=spec.b, mode=spec.mode, reduction=spec.reduction,
         root_lo=span_lo, root_hi=span_hi, covered=_coalesce(covered), status=status,
-        **totals,
+        **dict(zip(COUNTERS, totals)),
     )
     witnesses = _witness_records(spec, order, raw_leaves)
     return OrderOutcome(order=order, status=outcome_status(witnesses, cert),
@@ -567,84 +600,82 @@ def merge_certificates(certs: list[ExhaustionCertificate]) -> ExhaustionCertific
     )
 
 
-def merge_order_outcomes(spec: SearchSpec, order: int,
-                         parts: list[OrderOutcome]) -> OrderOutcome:
-    """Deterministically merge disjoint shard outcomes for one order."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    cert = merge_certificates([p.certificate for p in parts])
-    pending = tuple(r for p in parts for r in p.pending)
-    if spec.mode == "first-witness":
-        first = next((p for p in parts if p.witnesses), None)
-        witnesses = first.witnesses[:1] if first else ()
-    else:
-        merged: dict[tuple[int, ...], WitnessRecord] = {}
-        for p in parts:
-            for w in p.witnesses:
-                merged.setdefault(w.pattern.offsets, w)
-        witnesses = tuple(merged[k] for k in sorted(merged))
-    return OrderOutcome(order=order, status=outcome_status(witnesses, cert),
-                        witnesses=witnesses, certificate=cert, pending=pending)
+def merge_order_outcomes(spec: SearchSpec, order: int, parts: list[list[tuple]]
+                         ) -> list[tuple]:
+    """The root records of disjoint shards of one order, in the order given;
+    `parts` are what `_shard_worker` returned, and enumerate_order replays
+    the result."""
+    return [run for part in parts for run in part]
 
 
-def _shard_worker(payload):
+_scan_over = None  # in a pool worker: the event its scan sets when it ends
+
+
+def _start_worker(scan_over):
+    global _scan_over
+    _scan_over = scan_over
+
+
+def _shard_worker(payload) -> list[tuple]:
+    """Run one shard's roots ahead of the scan, on the shard's copy of the budget;
+    once the scan is over, run no further root."""
     spec, order, rng, budget = payload
-    return enumerate_order(spec, order, ranges=[rng], budget=budget)
+    roots = (d for d in root_values(order, spec.reduction)
+             if rng.lo <= d <= rng.hi and not _scan_over.is_set())
+    return list(_root_runs(spec, order, roots, budget))
 
 
-def _shard_payloads(spec: SearchSpec, order: int, ranges: list[ShardRange],
-                    budget: _Budget) -> list[tuple]:
-    """One `_shard_worker` task per range, each with its own share of the budget."""
+def _pool_ranges(spec: SearchSpec, order: int, shards: int) -> list[ShardRange]:
+    """The shards an order sends to a pool: none unless its roots are searched
+    and split into more than one range."""
+    ranges = partition(spec, order, shards)
+    return ranges if len(ranges) > 1 and spec.g <= order else []
+
+
+def _shard_payloads(spec: SearchSpec, orders, shards: int, budget: _Budget) -> list[tuple]:
+    """One `_shard_worker` task per pool shard of the orders, each with its own
+    copy of `budget`."""
     # perf_counter is the system-wide monotonic clock (CLOCK_MONOTONIC on
     # Linux), so pool workers can compare against this process's deadline
-    return [(spec, order, rng, budget.share(len(ranges))) for rng in ranges]
+    return [(spec, order, rng, replace(budget))
+            for order in orders for rng in _pool_ranges(spec, order, shards)]
 
 
 class _ScanPool:
-    """The worker pool of one scan, forked by the first shards sent to it.
+    """The worker pool of one scan, forked when the scan sends its shards.
 
-    `send_ahead` streams the shards of many orders through one chunked
-    imap, and `imap_shards` reads each order's results from that stream
-    when its payloads are the next ones sent; any other payloads get an
-    imap of their own.  Leaving the `with` block terminates and joins the
-    workers on every exit path, which drops every shard sent and not read;
-    a scan that never sends shards never forks.
+    `send` starts every shard of the scan through one chunked imap, and
+    each pooled order reads the results of its own shards from `results`,
+    in turn.  Leaving the `with` block, on every exit path, drops every
+    shard sent and not read: each worker finishes the root it is running,
+    runs no other, and exits.  The workers are not terminated, because
+    Pool.terminate hangs when it kills a worker that holds the lock of the
+    result queue.  A scan that sends no shards never forks.
     """
 
     def __init__(self, processes: int | None):
         self.processes = processes
         self._pool = None
-        self._ahead: collections.deque = collections.deque()
-        self._stream = None
+        self._scan_over = None
+        self.results = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         if self._pool is not None:
-            self._pool.terminate()
+            self._scan_over.set()
+            self._pool.close()
             self._pool.join()
 
-    def _started(self):
-        if self._pool is None:
-            import multiprocessing  # only a pooled scan pays for the import
-
-            self._pool = multiprocessing.Pool(self.processes)
-        return self._pool
-
-    def send_ahead(self, payloads: list[tuple]):
+    def send(self, payloads: list[tuple]):
         """Start every payload now, in about 8 chunks per process; call once."""
-        chunk = max(1, len(payloads) // (8 * self.processes))
-        self._ahead = collections.deque(payloads)
-        self._stream = self._started().imap(_shard_worker, payloads, chunk)
+        import multiprocessing  # only a pooled scan pays for the import
 
-    def imap_shards(self, payloads: list[tuple]):
-        """Run `_shard_worker` on each payload; results arrive in payload order."""
-        if list(itertools.islice(self._ahead, len(payloads))) == payloads:
-            for _ in payloads:
-                self._ahead.popleft()
-            return itertools.islice(self._stream, len(payloads))
-        return self._started().imap(_shard_worker, payloads)
+        self._scan_over = multiprocessing.Event()
+        self._pool = multiprocessing.Pool(self.processes, _start_worker, (self._scan_over,))
+        chunk = max(1, len(payloads) // (8 * self.processes))
+        self.results = self._pool.imap(_shard_worker, payloads, chunk)
 
 
 def enumerate_order_sharded(
@@ -656,61 +687,49 @@ def enumerate_order_sharded(
     progress=None,
     pool: _ScanPool | None = None,
 ) -> OrderOutcome:
-    """Partitioned enumeration of one order, optionally on a process pool.
+    """Enumeration of one order whose roots may run ahead on a process pool.
 
-    In process this is one enumerate_order call over the partition.  On a
-    pool each shard gets an even share of `budget`, wall deadline included;
-    first-witness runs let every shard halt at its own first witness, and
-    the merged winner is the one from the lowest value range, which equals
-    the serial answer.  A spent budget skips the pool: the in-process call
-    leaves every shard pending.
+    In process, or once `budget` is spent, this is one enumerate_order call
+    over the full span, whatever `shards` is.  Pooled, each shard runs its
+    roots ahead on a copy of the budget, and enumerate_order replays their
+    records in root order as each shard's result arrives, so the outcome
+    is the serial one for every mode, budget and shard count, and progress
+    fires per root.
 
-    `pool` is the scan's pool when `min_order` calls this for each order,
-    and the order's shards may already be running there: this call then
-    reads their results from the scan's stream and stays the order's merge
-    point.  Without a pool, a pooled call starts its own and closes it on
-    return.  Pooled progress fires once per shard as its result is read, in
-    shard order, with the roots its certificate covers.
+    `pool` is the scan's pool when `min_order` calls this for each order:
+    the order's shards were sent to it when the scan started, and this call
+    reads the next ones of its results.  Without a pool, a pooled call
+    starts its own and closes it on return.
     """
-    ranges = partition(spec, order, shards)
     if budget is None:
         budget = _Budget.of(spec)
-    if len(ranges) == 1 or not processes or processes <= 1 or budget.spent():
-        return enumerate_order(spec, order, ranges=ranges, budget=budget, progress=progress)
-    payloads = _shard_payloads(spec, order, ranges, budget)
-    roots = root_values(order, spec.reduction)
-    parts = []
-    done = expansions = 0
-    with _ScanPool(processes) if pool is None else contextlib.nullcontext(pool) as pool:
-        for part in pool.imap_shards(payloads):
-            parts.append(part)
-            if progress is not None:
-                cert = part.certificate
-                done += sum(1 for d in roots for lo, hi in cert.covered if lo <= d <= hi)
-                expansions += cert.expansions
-                progress(order, done, len(roots), expansions)
-    merged = merge_order_outcomes(spec, order, parts)
-    budget.consume(merged.certificate.expansions)
-    return merged
+    ranges = _pool_ranges(spec, order, shards)
+    if not ranges or not processes or processes <= 1 or budget.spent():
+        return enumerate_order(spec, order, budget=budget, progress=progress)
+    with contextlib.ExitStack() as scope:
+        if pool is None:
+            pool = scope.enter_context(_ScanPool(processes))
+            pool.send(_shard_payloads(spec, (order,), shards, budget))
+        runs = itertools.chain.from_iterable(
+            merge_order_outcomes(spec, order, [part])
+            for part in itertools.islice(pool.results, len(ranges)))
+        return enumerate_order(spec, order, budget=budget, progress=progress, runs=runs)
 
 
 def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
               progress=None) -> SearchOutcome:
     """Scan the spec's orders ascending; stop at the first witness in first mode.
 
-    The scan shares one budget, node allowance and wall deadline together,
-    and each pooled shard gets a share of it.  Once an order breaches it,
-    it is marked spent, so every later order is undecided and fully pending.
-    One worker pool serves every pooled order of the scan, and is closed
-    when the scan returns or raises.  Without a node budget, the shards of
-    every order whose partition has more than one range are sent to it when
-    the scan starts, so no order waits for the previous order's slowest
-    shard; shards sent past a first-witness halt or a deadline are dropped
-    when the pool closes.  With a node budget, an order's shard budgets
-    depend on what earlier orders spent, so each pooled order sends its
-    shards when it starts.  Progress callbacks fire after each root for
-    in-process searches, sharded ones included, and after each shard for
-    pooled orders.
+    The scan has one budget, node allowance and wall deadline together.
+    Once an order breaches it, it is marked spent, so every later order is
+    undecided and fully pending.  One worker pool serves every pooled order
+    of the scan, and is closed when the scan returns or raises.  The shards
+    of every pooled order go to it in one stream when the scan starts, each
+    with a copy of the whole budget, so no order waits for the previous
+    order's slowest shard; shards sent past a first-witness halt or a breach
+    are dropped when the pool closes.  The scan spends its budget root by
+    root, in root order, whether a root ran in process or on the pool, so
+    its outcome is the serial one; progress callbacks fire after each root.
     """
     if list(spec.orders) != sorted(set(spec.orders)):
         raise ValueError("orders must be strictly ascending")
@@ -718,25 +737,18 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
     outcomes: list[OrderOutcome] = []
     minimal = None
     with _ScanPool(processes) as pool:
-        if processes and processes > 1 and spec.node_budget is None and not budget.spent():
-            # no order's shard budget depends on what earlier orders spent,
-            # so every pooled order's shards go out now, in one stream
-            ahead = []
-            for order in spec.orders:
-                ranges = partition(spec, order, shards)
-                if len(ranges) > 1:
-                    ahead += _shard_payloads(spec, order, ranges, budget)
-            if ahead:
-                pool.send_ahead(ahead)
+        if processes and processes > 1 and not budget.spent():
+            payloads = _shard_payloads(spec, spec.orders, shards, budget)
+            if payloads:
+                pool.send(payloads)
         for order in spec.orders:
-            # an order the scan cannot start stays pending as one full-span range
-            order_shards = 1 if budget.spent() else shards
-            oc = enumerate_order_sharded(spec, order, order_shards, processes or 1, budget,
+            oc = enumerate_order_sharded(spec, order, shards, processes or 1, budget,
                                          progress, pool)
             outcomes.append(oc)
             if oc.certificate.status == "budget-exceeded":
                 # the breaching subtree did not fit the remaining allowance;
-                # later orders would re-breach immediately, so leave them pending
+                # later orders would re-breach immediately, so leave them
+                # pending, and read no more results from the pool
                 budget.remaining = 0
             if oc.status == "witness" and minimal is None:
                 minimal = order

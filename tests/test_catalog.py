@@ -194,6 +194,18 @@ class TestCertificateFormat:
         with pytest.raises(ParseError):
             parse_certificate(bad)
 
+    @pytest.mark.parametrize("edits, message", [
+        ({"roots 3 11": "roots 3 9"}, "roots 3 9 are not the root span 3 11 of order 14"),
+        ({"b 1\n": "b 2\n", "positions 2\npairs 1": "positions 4\npairs 2"},
+         "no such search: order 14: b=2 does not divide m=7"),
+    ])
+    def test_roots_must_be_the_span_of_the_search(self, edits, message):
+        text = serialize_certificate(self.cert())
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        with pytest.raises(ParseError, match=f"<string>:9: {message}$"):
+            parse_certificate(text)
+
     def test_unknown_key_rejected(self):
         text = serialize_certificate(self.cert()) + "speed fast\n"
         with pytest.raises(ParseError):
@@ -265,6 +277,13 @@ class TestBoundsTable:
     def test_witnessed_and_exhausted_conflict_rejected(self):
         inputs = {1: BoundsInput(exhausted=frozenset({14}), uppers=((14, True, "x"),))}
         with pytest.raises(ValueError):
+            bounds_table(6, [1], None, inputs)
+
+    def test_any_witness_at_an_exhausted_order_rejected(self):
+        # the least witness (14) is fine; the second sits at an exhausted order
+        inputs = {1: BoundsInput(exhausted={20}, uppers=[(14, True, "a.hbg"),
+                                                         (20, True, "b.hbg")])}
+        with pytest.raises(ValueError, match=r"order 20 \(b\.hbg\) both witnessed and exhausted"):
             bounds_table(6, [1], None, inputs)
 
     def test_witness_below_the_lower_bound_rejected(self):

@@ -284,6 +284,20 @@ class TestTableReportCommands:
         assert code == 0 and err.startswith(note)
         assert out.splitlines()[-1] == "(no certified orders)"
 
+    def test_certificate_of_a_short_root_span_is_an_error(self, tmp_path, capsys):
+        # g=14 b=3 n=258 has the 127 roots 3..255; one root is no proof
+        cert = tmp_path / "g14_n258_b3.cert"
+        cert.write_text("HBG-CERT 1\ng 14\nn 258\nb 3\nmode prove-nonexistence\n"
+                        "reduction off\npositions 6\npairs 3\nroots 3 3\ncovered 3 3\n"
+                        "status complete\nexpansions 1\nconflicts 0\ngirth-rejects 1\n"
+                        "sym-skips 0\nnodes 0\nleaves 0\nengine hbgsearch-0.1.0\n",
+                        encoding="ascii")
+        error = f"error: {cert}:9: roots 3 3 are not the root span 3 255 of order 258"
+        for argv in (("table", "--girth", "14", "--sym", "3"), ("report", "--girth", "14")):
+            code, out, err = run_cli(*argv, "--dir", str(tmp_path), capsys=capsys)
+            assert code == 1 and out == ""
+            assert err.splitlines()[-1] == error
+
     def test_config_is_not_an_option(self, tmp_path, capsys):
         config = tmp_path / "bounds.txt"
         config.write_text("6 20\n")

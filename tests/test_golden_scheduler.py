@@ -22,6 +22,15 @@ def test_scheduler_bytes_match_golden(case):
     assert run_case(case) == GOLDEN[case_id(case)]
 
 
+@pytest.mark.parametrize("case", [c for c in CASES if c["shards"] != 1], ids=case_id)
+def test_sharded_and_pooled_cases_equal_the_serial_case(case):
+    """A scan's outcome does not depend on how its roots were split or where
+    they ran: certificates, resume text, statuses and witnesses."""
+    serial = dict(case, shards=1, processes=None)
+    key = case_id(serial)
+    assert GOLDEN[case_id(case)] == (GOLDEN[key] if key in GOLDEN else run_case(serial))
+
+
 def _without_mode(text):
     return [line for line in text.splitlines() if not line.startswith("mode ")]
 

@@ -103,6 +103,8 @@ class TestKnownInstances:
             enumerate_order(spec, 14, ranges=[ShardRange(3, 7), ShardRange(5, 11)])
         with pytest.raises(ValueError):
             enumerate_order(spec, 14, ranges=[ShardRange(3, 99)])
+        with pytest.raises(ValueError, match="not odd"):
+            enumerate_order(spec, 14, ranges=[ShardRange(4, 9)])
 
 
 class TestCertificates:
@@ -202,12 +204,11 @@ class TestBudget:
         assert [oc.status for oc in out.per_order] == ["undecided", "undecided"]
         assert out.per_order[1].certificate.expansions == 0
 
-    def test_budget_split_across_shards_is_deterministic(self):
+    def test_sharded_budget_breach_is_the_serial_one(self):
         spec = spec_for(14, 3, [258], mode="prove", node_budget=4000)
         a = enumerate_order_sharded(spec, 258, shards=3)
-        b = enumerate_order_sharded(spec, 258, shards=3)
-        assert a == b
-        assert a.certificate.status == "budget-exceeded" and a.pending
+        assert a == enumerate_order(spec, 258)
+        assert a.certificate.status == "budget-exceeded" and len(a.pending) == 1
 
     def test_pool_run_with_budget_is_deterministic(self):
         spec = spec_for(14, 3, [258], mode="prove", node_budget=6000)
@@ -325,13 +326,6 @@ class TestBudgetObject:
         assert before + 60 <= budget.deadline <= time.perf_counter() + 60
         assert _Budget.of(spec_for(8, 3, [42])) == _Budget(None, None)
 
-    def test_share_floors_at_one_and_keeps_the_deadline(self):
-        budget = _Budget(10, 123.0)
-        assert budget.share(3) == _Budget(3, 123.0)
-        assert budget.share(20) == _Budget(1, 123.0)
-        assert budget == _Budget(10, 123.0)  # sharing spends nothing
-        assert _Budget(None, 5.0).share(4) == _Budget(None, 5.0)
-
     def test_spent_at_zero_remaining_or_past_the_deadline(self):
         now = time.perf_counter()
         assert _Budget(0).spent() and _Budget(-3).spent()
@@ -345,21 +339,13 @@ class TestBudgetObject:
         unlimited.consume(3)
         assert limited.remaining == 2 and unlimited.remaining is None
 
-    def test_shares_of_one_budget_compare_equal(self):
-        spec = spec_for(8, 3, [42], mode="prove", wall_budget_s=60)
-        budget = _Budget.of(spec)
-        assert budget.share(3) == budget.share(3)
-        # the scan's pool finds an order's streamed shards by payload equality
-        ranges = partition(spec, 42, 3)
-        assert search._shard_payloads(spec, 42, ranges, budget) == \
-            search._shard_payloads(spec, 42, ranges, budget)
-
-    def test_shards_pickled_together_spend_their_own_shares(self):
+    def test_shards_pickled_together_spend_their_own_copies(self):
         spec = spec_for(8, 3, [42], mode="prove", node_budget=90)
-        payloads = search._shard_payloads(spec, 42, partition(spec, 42, 3), _Budget.of(spec))
+        payloads = search._shard_payloads(spec, [42], 3, _Budget.of(spec))
+        assert [p[2] for p in payloads] == partition(spec, 42, 3)
         copies = pickle.loads(pickle.dumps(payloads))  # as one pool chunk is sent
         copies[0][3].consume(30)
-        assert [p[3] for p in copies] == [_Budget(0), _Budget(30), _Budget(30)]
+        assert [p[3] for p in copies] == [_Budget(60), _Budget(90), _Budget(90)]
 
 
 class TestScanDeadline:
@@ -379,7 +365,7 @@ class TestScanDeadline:
         oc = min_order(spec, shards=3, processes=2).per_order[0]
         assert oc.certificate.status == "budget-exceeded"
         assert oc.certificate.expansions == 0
-        assert oc.pending == tuple(partition(spec, 42, 3))
+        assert oc.pending == (ShardRange(3, 39),)
 
     def test_passed_deadline_starts_no_pool(self, monkeypatch):
         def no_pool(*args):
@@ -390,26 +376,22 @@ class TestScanDeadline:
         oc = enumerate_order_sharded(spec, 42, 3, 2,
                                      budget=_Budget(None, time.perf_counter() - 1))
         assert oc.certificate.expansions == 0
-        assert oc.pending == tuple(partition(spec, 42, 3))
+        assert oc.pending == (ShardRange(3, 39),)
         # a scan whose wall budget is already spent when it starts
         late = spec_for(8, 3, [36, 42], mode="prove", wall_budget_s=-1)
         out = min_order(late, shards=3, processes=2)
         assert [oc.certificate.expansions for oc in out.per_order] == [0, 0]
         assert all(oc.status == "undecided" for oc in out.per_order)
 
-    def test_progress_fires_for_serial_shards(self):
+    def test_progress_fires_per_root_for_shards_and_pools(self):
         seen = []
         spec = spec_for(6, 1, [14], mode="prove")
         min_order(spec, shards=2, progress=lambda *args: seen.append(args))
         assert [s[1:3] for s in seen] == [(k, 5) for k in range(1, 6)]
-        # pooled: one call per finished shard, in shard order
+        # pooled: the same per-root calls, made as each shard's records arrive
         pooled = []
         min_order(spec, shards=2, processes=2, progress=lambda *args: pooled.append(args))
-        assert len(pooled) == len(partition(spec, 14, 2))
-        assert all(p[0] == 14 and p[2] == 5 for p in pooled)
-        assert [p[1] for p in pooled] == sorted(p[1] for p in pooled)
-        assert [p[3] for p in pooled] == sorted(p[3] for p in pooled)
-        assert pooled[-1][1:3] == (5, 5) and pooled[-1][3] == seen[-1][3]
+        assert pooled == seen
 
 
 @pytest.fixture
@@ -485,33 +467,25 @@ def imap_calls(monkeypatch):
 class TestStreamedShards:
     orders = (30, 36, 42)
 
-    def test_one_imap_per_scan_without_a_node_budget(self, imap_calls):
-        spec = spec_for(8, 3, self.orders, mode="prove")
+    @pytest.mark.parametrize("node_budget", [None, 10**9])
+    def test_one_imap_per_scan(self, imap_calls, node_budget):
+        spec = spec_for(8, 3, self.orders, mode="prove", node_budget=node_budget)
         out = min_order(spec, shards=3, processes=2)
         assert imap_calls == [[9, 9]]
         assert [oc.certificate for oc in out.per_order] == \
             [oc.certificate for oc in min_order(spec).per_order]
-        # a node budget is split per order as the order starts: one imap each
-        imap_calls.clear()
-        budgeted = spec_for(8, 3, self.orders, mode="prove", node_budget=10**9)
-        out = min_order(budgeted, shards=3, processes=2)
-        assert imap_calls == [[3, 3]] * 3
-        assert [oc.certificate for oc in out.per_order] == \
-            [oc.certificate for oc in min_order(budgeted).per_order]
 
     def test_first_witness_scan_returns_the_serial_outcome(self, imap_calls):
         # orders 30 and 42 both have witnesses; the scan must stop at 30
         spec = spec_for(8, 3, self.orders, mode="first")
         out = min_order(spec, shards=3, processes=2)
         serial = min_order(spec)
-        assert out.minimal_order == serial.minimal_order == 30
-        assert [(oc.order, oc.status, [w.pattern.offsets for w in oc.witnesses])
-                for oc in out.per_order] == \
-            [(oc.order, oc.status, [w.pattern.offsets for w in oc.witnesses])
-             for oc in serial.per_order]
-        # every order's shards went out; only order 30's results were read,
-        # and the rest were dropped with the pool
-        assert imap_calls == [[9, 3]]
+        assert out.minimal_order == 30
+        assert out == serial  # certificates included
+        # every order's shards went out; the witness is in order 30's first
+        # shard, so only that result was read, and the rest were dropped
+        # with the pool
+        assert imap_calls == [[9, 1]]
         assert multiprocessing.active_children() == []
 
     def test_shards_sent_past_a_deadline_are_dropped(self, imap_calls, monkeypatch):
@@ -577,3 +551,17 @@ def test_one_predicate_call_per_undecided_candidate(spec, order, monkeypatch):
     assert calls == cert.expansions - cert.conflicts - cert.sym_skips + discarded
     assert (discarded > 0) == (spec.node_budget is not None)
     assert calls > cert.girth_rejects > 0
+
+
+@pytest.mark.parametrize("g, b, orders, mode", [
+    (14, 3, (258, 264), "prove"),
+    (8, 3, (30, 36, 42), "first"),
+    (12, 1, (10, 12, 14, 16, 18, 20, 22, 24), "all"),  # g > n below 12
+])
+@pytest.mark.parametrize("node_budget", [None, 100, 1000, 5000])
+def test_pooled_scan_gives_the_serial_outcome(g, b, orders, mode, node_budget):
+    spec = spec_for(g, b, orders, mode=mode, node_budget=node_budget)
+    serial = min_order(spec)
+    for shards in (2, 5, 8):
+        assert min_order(spec, shards=shards, processes=2) == serial
+    assert multiprocessing.active_children() == []
