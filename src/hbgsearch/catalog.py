@@ -611,9 +611,26 @@ def format_non_existence(g: int, report: dict[int, list[int]], fmt: str = "text"
 
 # --- claims files (unverified literature data for tables) ------------------
 
+def _claim(tail: bool = False) -> Callable[[str], tuple]:
+    """Kind: `<b> <order>`, then free text if `tail`, for an order that b divides."""
+    ints = _ints(2, tail)
+
+    def parse(value: str) -> tuple:
+        claim = ints(value)
+        b, order = claim[:2]
+        if b < 1:
+            raise ValueError(f"b={b}: symmetry factor must be positive")
+        if order < 6 or order % 2 != 0:
+            raise ValueError(f"order {order} is not an even integer >= 6")
+        if (order // 2) % b != 0:
+            raise ValueError(f"order {order}: b={b} does not divide m={order // 2}")
+        return claim
+    return parse
+
+
 _CLAIMS = _Format("HBG-CLAIMS 1", keys=(
     ("g", _int, "1"), ("bound", _int, "?"),
-    ("exhausted", _ints(2), "*"), ("upper", _ints(2, tail=True), "*"),
+    ("exhausted", _claim(), "*"), ("upper", _claim(tail=True), "*"),
 ))
 
 

@@ -26,8 +26,12 @@ There are two BFS loops, one reference and one for the kernel.
   2b) and the exact check chord_cycle_shorter_than, which passes the far
   end as a stop vertex.  It never follows the chord at its own root; the
   exact check relies on that to measure paths that avoid the new chord,
-  and at every other caller the root's class is unassigned.
-  tests/helpers.py keeps a plain per-vertex BFS that it is tested against.
+  and at every other caller the root's class is unassigned.  The (mask,
+  offset) pairs of the assigned classes are its move table: node_filter
+  builds it once per node and hands it to each of the node's BFSes, and
+  the exact check lets level_sets build its own, since its table holds
+  the candidate's chord.  tests/helpers.py keeps a plain per-vertex BFS
+  that level_sets is tested against.
 
 has_girth_at_least is the plain reference pruning predicate: it builds the
 graph forced by a partial offset assignment and searches it for a cycle
@@ -64,11 +68,12 @@ contain a cycle of length <= g-1.  The exact check rejects such a candidate
 too: the filters change what a decision costs, never the decision.
 
 node_filter applies the three rules once when a node starts and returns one
-n-bit int: bit q is set iff they reject far end q.  The kernel passes it to
-the exact check for every candidate.  Layer 2 is computed for each open
-class t of the parity opposite to j's that still has a far end outside the
-ball; a class's marks lie in that class, so no other class would add a bit
-that a candidate reads.
+n-bit int: bit q is set iff they reject far end q.  The kernel passes it,
+and the candidate's far end from a table it builds once, to the exact check
+for every candidate.  Layer 2 is computed for each open class t of the
+parity opposite to j's that still has a far end outside the ball; a class's
+marks lie in that class, so no other class would add a bit that a candidate
+reads.
 
 Parity.  Every offset is odd and n is even, so every edge joins an even and
 an odd vertex: every pattern graph is bipartite, and a path between two
@@ -94,6 +99,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
+from operator import or_
 from typing import TYPE_CHECKING
 
 from .pattern import ExpandedGraph
@@ -191,6 +198,7 @@ def chord_cycle_shorter_than(
     rep: int,
     g: int,
     ends: int = 0,
+    q: int | None = None,
 ) -> bool:
     """Whether some cycle through the chord orbit of position `rep` has length < g.
 
@@ -200,11 +208,13 @@ def chord_cycle_shorter_than(
     length <= g-2 back from its far end, avoiding the chord itself, closes
     a short cycle.  The far end is at odd distance, so depth g-3 is enough.
     Bit x of `ends` marks a far end x the parent's node_filter already
-    rejected; those are answered without a BFS.
+    rejected; those are answered without a BFS.  q is that far end,
+    (rep + offsets[rep]) mod n, computed here when not given.
     """
-    q = rep + offsets[rep % b2]
-    if q >= n:
-        q -= n
+    if q is None:
+        q = rep + offsets[rep % b2]
+        if q >= n:
+            q -= n
     if ends >> q & 1:
         return True
     return level_sets(n, b2, offsets, rep, g - 3, q)[-1] >> q & 1 == 1
@@ -219,8 +229,21 @@ def _class_masks(n: int, b2: int) -> tuple[int, ...]:
     return tuple(every << c for c in range(b2))
 
 
+def _moves(n: int, b2: int, offsets: list[int]) -> tuple[list, list]:
+    """The chords of G as level moves: (mask of class c, c's offset) for each
+    assigned class c, in two lists, the even classes' and the odd classes'."""
+    masks = _class_masks(n, b2)
+    moves = ([], [])
+    for c in range(b2):
+        d = offsets[c]
+        if d >= 0:
+            moves[c & 1].append((masks[c], d))
+    return moves
+
+
 def level_sets(n: int, b2: int, offsets: list[int], root: int, depth: int,
-               stop: int | None = None) -> list[int]:
+               stop: int | None = None, moves: tuple[list, list] | None = None
+               ) -> list[int]:
     """The BFS levels of root up to `depth`: bit x of levels[k] is set iff dist_G(root, x) = k.
 
     G is the graph of the assigned chords: the Hamiltonian cycle plus the
@@ -232,18 +255,15 @@ def level_sets(n: int, b2: int, offsets: list[int], root: int, depth: int,
     One step moves a whole level at once: the level rotated by +1 and -1,
     and, for each assigned class c, the level's class-c vertices rotated by
     c's offset.  Every offset is odd, so a level holds vertices of one
-    parity, and only the classes of that parity can move it.
+    parity, and only the classes of that parity can move it.  `moves` is
+    _moves(n, b2, offsets), built here when not given.
     """
     levels = [1 << root]
     target = 0 if stop is None else 1 << stop
     if depth < 1 or target & levels[0]:
         return levels
-    masks = _class_masks(n, b2)
-    moves = ([], [])
-    for c in range(b2):
-        d = offsets[c]
-        if d >= 0:
-            moves[c & 1].append((masks[c], d))
+    if moves is None:
+        moves = _moves(n, b2, offsets)
     up = root + 1 if root + 1 < n else 0
     frontier = (1 << up) | (1 << (root - 1 if root else n - 1))
     unseen = ((1 << n) - 1) ^ levels[0] ^ frontier
@@ -264,8 +284,8 @@ def level_sets(n: int, b2: int, offsets: list[int], root: int, depth: int,
     return levels
 
 
-def frontier_ball(n: int, b2: int, offsets: list[int], j: int, g: int
-                  ) -> tuple[int, list[int]]:
+def frontier_ball(n: int, b2: int, offsets: list[int], j: int, g: int,
+                  moves: tuple[list, list] | None = None) -> tuple[int, list[int]]:
     """Layer 1 at the node whose frontier is j: (ball, levels).
 
     levels are j's BFS levels in G up to g-3, and bit x of ball is set iff
@@ -273,7 +293,7 @@ def frontier_ball(n: int, b2: int, offsets: list[int], j: int, g: int
     end is at odd distance, so a ball to g-3 holds every far end within
     g-2.
     """
-    levels = level_sets(n, b2, offsets, j, g - 3)
+    levels = level_sets(n, b2, offsets, j, g - 3, moves=moves)
     ball = 0
     for level in levels:
         ball |= level
@@ -289,7 +309,8 @@ def _members(bits: int):
 
 
 def mark_out_and_back(n: int, b2: int, offsets: list[int], j: int, t: int, g: int,
-                      levels: list[int]) -> bool:
+                      levels: list[int], moves: tuple[list, list] | None = None,
+                      balls: list[int] | None = None) -> bool:
     """Layer 2b: whether a short out-and-back walk rejects every far end of class t.
 
     x and t share a class and y = j + t - x shares j's, so l1 and l2 are
@@ -298,18 +319,17 @@ def mark_out_and_back(n: int, b2: int, offsets: list[int], j: int, t: int, g: in
     Rotation by x - t, a multiple of 2b, maps G to itself, y to j and j to
     j + x - t, so D(y) = D(j + x - t): one rotation by j - t moves every
     class-t vertex of a level to the vertex whose distance from j to read.
+    balls[k] is the union of levels[:k + 1], built here when not given.
     """
+    if balls is None:
+        balls = list(accumulate(levels, or_))
     mask = _class_masks(n, b2)[t]
-    from_t = level_sets(n, b2, offsets, t, g - 6 if b2 == 2 else g - 8)
+    from_t = level_sets(n, b2, offsets, t, g - 6 if b2 == 2 else g - 8, moves=moves)
     shift = (j - t) % n
+    last = len(balls) - 1
     for l1 in range(2, len(from_t), 2):
         xs = from_t[l1] & mask
-        if not xs:
-            continue
-        near_j = 0
-        for level in levels[:g - 3 - l1]:
-            near_j |= level
-        if ((xs << shift) | (xs >> (n - shift))) & near_j:
+        if xs and ((xs << shift) | (xs >> (n - shift))) & balls[min(g - 4 - l1, last)]:
             return True
     return False
 
@@ -346,14 +366,18 @@ def node_filter(n: int, b2: int, offsets: list[int], j: int, g: int) -> int:
     frontier ball.  Every open class t of the other parity that still has
     a vertex outside the ball adds its layer-2 marks: the whole class when
     an out-and-back walk exists, and its same-direction marks otherwise.
+    The node's BFSes share one move table, and its out-and-back walks one
+    list of cumulative balls around j.
     """
-    ball, levels = frontier_ball(n, b2, offsets, j, g)
+    moves = _moves(n, b2, offsets)
+    ball, levels = frontier_ball(n, b2, offsets, j, g, moves)
+    balls = list(accumulate(levels, or_))
     ends = ball
     masks = _class_masks(n, b2)
     for t in range(~j & 1, b2, 2):
         if offsets[t] >= 0 or not masks[t] & ~ball:
             continue
-        if mark_out_and_back(n, b2, offsets, j, t, g, levels):
+        if mark_out_and_back(n, b2, offsets, j, t, g, levels, moves, balls):
             ends |= masks[t]
         else:
             ends |= mark_same_direction(n, b2, j, t, g, levels)

@@ -19,6 +19,17 @@ Counters use a fixed accounting that makes certificates mergeable by
 summation: nodes = expansions - conflicts - girth_rejects - sym_skips, and
 the covered first-position value ranges record exactly which subtrees the
 counters describe.
+
+The kernel's hot path is the per-candidate loop of _Kernel._try_values.
+It keeps a node's counts in locals, reads each candidate's partner class
+and far end from a table built once per kernel, and writes the counts back
+to the kernel before each descent and on every return (end of node,
+first-witness halt, budget breach), so the kernel's counters are exact
+whenever another node or the caller reads them.  It still calls the exact
+check, chord_cycle_shorter_than, once for every candidate that is neither
+a conflict nor a symmetry skip, also when the node's filter decides it:
+the tier-1 tests and the benchmark's traced self-check both count those
+calls.
 """
 
 from __future__ import annotations
@@ -267,22 +278,26 @@ class _Kernel:
     """Depth-first enumeration below one root value; counters per run_root call."""
 
     __slots__ = (
-        "n", "b2", "g", "cand", "offsets", "reduction", "collect", "root_node",
+        "n", "b2", "g", "choices", "offsets", "reduction", "collect", "root_node",
         "expansions", "conflicts", "girth_rejects", "sym_skips", "nodes", "leaves",
         "witnesses", "breached", "stop", "budget",
     )
 
     def __init__(self, order: int, b: int, g: int, reduction: bool, collect: str):
         self.n = order
-        self.b2 = 2 * b
+        self.b2 = b2 = 2 * b
         self.g = g
-        self.cand = candidate_values(order)
-        self.offsets = [-1] * self.b2
+        # choices[j]: (d, t, q) for every candidate d at frontier j, ascending,
+        # with t = (j + d) mod 2b the partner class d forces and q = (j + d)
+        # mod n the far end of its chord
+        self.choices = [[(d, (j + d) % b2, (j + d) % order) for d in candidate_values(order)]
+                        for j in range(b2)]
+        self.offsets = [-1] * b2
         self.reduction = reduction
         self.collect = collect
         # every root value is a candidate at the same node, the bare cycle at
         # j=0, so its filter is computed once per kernel
-        self.root_node = node_filter(order, self.b2, self.offsets, 0, g)
+        self.root_node = node_filter(order, b2, self.offsets, 0, g)
 
     def run_root(self, root: int, budget: int | None):
         self.expansions = 0
@@ -297,7 +312,7 @@ class _Kernel:
         self.budget = budget
         # offsets[0] is still -1, so the reduction skips no root value here:
         # root_values already dropped the reflected ones
-        self._try_values(0, (root,), self.root_node)
+        self._try_values(0, ((root, root % self.b2, root),), self.root_node)
 
     def _descend(self):
         offs = self.offsets
@@ -309,48 +324,81 @@ class _Kernel:
                     self.stop = True
             return
         j = offs.index(-1)
-        self._try_values(j, self.cand, node_filter(self.n, self.b2, offs, j, self.g))
+        self._try_values(j, self.choices[j], node_filter(self.n, self.b2, offs, j, self.g))
 
-    def _try_values(self, j: int, values, ends: int):
-        """Try each offset in `values` at frontier j, descending into accepted ones.
+    def _try_values(self, j: int, choices, ends: int):
+        """Try each candidate (d, t, q) of `choices` at frontier j, descending into accepted ones.
 
-        ends is the node's node_filter: bit (j + d) mod n rejects candidate d.
+        choices are ascending consecutive odd offsets d, each with the
+        partner class t and the far end q it forces, so d's index in choices
+        is (d - d0) // 2, where d0 is the first, and trying d makes the
+        node's expansions that index plus one.  ends is the node's
+        node_filter: bit q rejects candidate d.
+
+        Every candidate that is neither a conflict nor a symmetry skip calls
+        the predicate once, even when `ends` already decides it; the tier-1
+        tests and the benchmark's traced self-check both count those calls.
+        The node's counts live in locals and are written back to the kernel
+        before each descent and on every return, so a breach or a halt
+        leaves the kernel's counters exact.  A partner class is never j,
+        since every offset is odd, so offs[j] is cleared once, on return.
         """
         offs = self.offsets
         n = self.n
         b2 = self.b2
         g = self.g
+        predicate = chord_cycle_shorter_than  # looked up per node, so a wrapper sees it
+        d0 = choices[0][0]
+        base = self.expansions  # the kernel's expansions before d0
         budget = self.budget
-        first = offs[0]
+        # the least offset the budget does not reach
+        d_stop = n if budget is None else d0 + 2 * (budget - base)
         reduction = self.reduction
-        j_even = j % 2 == 0
-        for d in values:
-            if budget is not None and self.expansions >= budget:
+        if reduction:
+            # one position of each pair is even; keep the first offset minimal:
+            # skip d unless its even-position value, d or n - d, is >= offs[0]
+            first = offs[0]
+            lo, hi = (first, n) if j % 2 == 0 else (0, n - first)
+        conflicts = rejects = skips = 0
+        tried = len(choices)
+        for d, t, q in choices:
+            if d >= d_stop:
                 self.breached = True
                 self.stop = True
-                return
-            self.expansions += 1
-            t = (j + d) % b2
+                tried = (d - d0) // 2
+                break
             if offs[t] >= 0:
-                self.conflicts += 1
+                conflicts += 1
                 continue
-            if reduction:
-                # one position of each pair is even; keep the first offset minimal
-                even_value = d if j_even else n - d
-                if even_value < first:
-                    self.sym_skips += 1
-                    continue
+            if reduction and not lo <= d <= hi:
+                skips += 1
+                continue
             offs[j] = d
             offs[t] = n - d
-            if chord_cycle_shorter_than(n, b2, offs, j, g, ends):
-                self.girth_rejects += 1
-            else:
-                self.nodes += 1
-                self._descend()
-            offs[j] = -1
+            if predicate(n, b2, offs, j, g, ends, q):
+                rejects += 1
+                offs[t] = -1
+                continue
+            i = (d - d0) // 2  # d's index in choices
+            self.expansions = base + i + 1
+            self.conflicts += conflicts
+            self.girth_rejects += rejects
+            self.sym_skips += skips
+            conflicts = rejects = skips = 0
+            self.nodes += 1
+            self._descend()
             offs[t] = -1
             if self.stop:
+                offs[j] = -1
                 return
+            base = self.expansions - i - 1  # the descent's expansions included
+            if budget is not None:
+                d_stop = d0 + 2 * (budget - base)
+        offs[j] = -1
+        self.expansions = base + tried
+        self.conflicts += conflicts
+        self.girth_rejects += rejects
+        self.sym_skips += skips
 
 
 @dataclass

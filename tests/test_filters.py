@@ -64,10 +64,10 @@ def kernel_decisions(monkeypatch, g, b, n, offs):
     j = offs.index(-1)
     calls = []
 
-    def record(n_, b2, offsets, rep, g_, ends=0):
+    def record(n_, b2, offsets, rep, g_, ends=0, q=None):
         if rep != j:
             return True  # a grandchild: this test looks at one node only
-        q = (rep + offsets[rep % b2]) % n_
+        assert q == (rep + offsets[rep % b2]) % n_
         rejected = chord_cycle_shorter_than(n_, b2, offsets, rep, g_, ends)
         calls.append((list(offsets), rejected, bool(ends >> q & 1)))
         return rejected

@@ -185,6 +185,16 @@ def test_resume_integer_spelling_is_refused():
     ("HBG-CLAIMS 1\ng 100000000\nbound 5\n", 3, "bound 5 below the counting floor"),
     ("HBG-CLAIMS 1\ng 13\nbound 258\n", 2, "g=13: girth must be even and >= 4"),
     ("HBG-CLAIMS 1\n\ng 2\n", 3, "g=2: girth must be even and >= 4"),
+    # every exhausted or upper line names an order that its b divides
+    ("HBG-CLAIMS 1\ng 8\nupper 0 30 x\n", 3, "upper: b=0: symmetry factor must be positive"),
+    ("HBG-CLAIMS 1\ng 8\nupper 3 -30 x\n", 3, "upper: order -30 is not an even integer"),
+    ("HBG-CLAIMS 1\ng 8\nexhausted 3 31\n", 3, "exhausted: order 31 is not an even integer"),
+    ("HBG-CLAIMS 1\ng 8\nexhausted 1 4\n", 3, "exhausted: order 4 is not an even integer"),
+    ("HBG-CLAIMS 1\ng 8\nexhausted 4 30\n", 3, "exhausted: order 30: b=4 does not divide m=15"),
+    ("HBG-CLAIMS 1\ng 14\nexhausted 4 264\n\nexhausted -4 264\n", 5,
+     "exhausted: b=-4: symmetry factor must be positive"),
+    ("HBG-CLAIMS 1\ng 14\nupper 4 440 x\nupper 4 442 y\n", 4,
+     "upper: order 442: b=4 does not divide m=221"),
 ])
 def test_claims_bound_is_refused_at_its_line(text, lineno, message, tmp_path):
     path = tmp_path / "claims.txt"

@@ -523,7 +523,10 @@ def test_orders_below_the_girth_need_no_search(shards, processes):
     (spec_for(14, 3, [258], mode="prove"), 258),
     (spec_for(8, 3, [42], mode="all", reduction=True), 42),
     (spec_for(14, 7, [266], mode="prove", node_budget=2000), 266),
-], ids=["prove-g14-b3", "all-reduced-g8-b3", "budget-g14-b7"])
+    (spec_for(10, 4, [80], mode="first"), 80),
+    (spec_for(10, 4, [80], mode="first", reduction=True), 80),
+], ids=["prove-g14-b3", "all-reduced-g8-b3", "budget-g14-b7", "halt-g10-b4",
+        "halt-reduced-g10-b4"])
 def test_one_predicate_call_per_undecided_candidate(spec, order, monkeypatch):
     """The benchmark tracer's self-check: every expansion that is neither a
     conflict nor a symmetry skip calls the predicate exactly once, including
@@ -551,6 +554,41 @@ def test_one_predicate_call_per_undecided_candidate(spec, order, monkeypatch):
     assert calls == cert.expansions - cert.conflicts - cert.sym_skips + discarded
     assert (discarded > 0) == (spec.node_budget is not None)
     assert calls > cert.girth_rejects > 0
+    # a first-witness halt leaves the halted root's partial counts
+    assert (cert.status == "halted-witness") == (spec.mode == "first-witness")
+
+
+@pytest.mark.parametrize("g, b, order, reduction, root", [
+    (10, 4, 80, False, 45),
+    (10, 4, 80, True, 11),
+    (14, 3, 258, False, 13),
+])
+def test_every_node_budget_leaves_exact_kernel_counters(g, b, order, reduction, root,
+                                                        monkeypatch):
+    """A run_root that breaches at any expansion, or does not, leaves counters
+    that describe exactly the expansions it made, and every offset unset."""
+    calls = 0
+    real_predicate = search.chord_cycle_shorter_than
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real_predicate(*args)
+
+    monkeypatch.setattr(search, "chord_cycle_shorter_than", counting)
+    kern = search._Kernel(order, b, g, reduction, "none")
+    kern.run_root(root, None)
+    full = kern.expansions
+    assert full > kern.nodes >= 1
+    for k in range(1, full + 2):
+        calls = 0
+        kern.run_root(root, k)
+        assert kern.breached == (k < full), k
+        assert kern.expansions == min(k, full), k
+        assert kern.nodes == (kern.expansions - kern.conflicts - kern.girth_rejects
+                              - kern.sym_skips), k
+        assert calls == kern.expansions - kern.conflicts - kern.sym_skips, k
+        assert kern.offsets == [-1] * (2 * b), k
 
 
 @pytest.mark.parametrize("g, b, orders, mode", [
