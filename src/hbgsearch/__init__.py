@@ -37,7 +37,6 @@ from .render import RenderStyle, render_svg
 from .search import (
     ExhaustionCertificate,
     OrderOutcome,
-    PartialAssignment,
     SearchOutcome,
     SearchSpec,
     ShardRange,
@@ -46,7 +45,6 @@ from .search import (
     enumerate_order_sharded,
     merge_certificates,
     min_order,
-    partial_assignment,
     partition,
 )
 

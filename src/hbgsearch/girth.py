@@ -1,4 +1,4 @@
-"""Girth computation for expanded graphs and partial offset assignments.
+"""Girth computation for expanded graphs and partial offset tables.
 
 There are two BFS loops, one reference and one for the kernel.
 
@@ -21,21 +21,23 @@ There are two BFS loops, one reference and one for the kernel.
   means vertex x), so a step is a fixed number of big-int operations, not
   one loop trip per vertex: the level rotated by +1 and -1, and for each
   assigned class c the level's class-c vertices (a mask cached per
-  (n, 2b)) rotated by c's offset.  It serves node_filter (the frontier
-  ball of every search node and the ball around a partner class in layer
-  2b) and the exact check chord_cycle_shorter_than, which passes the far
-  end as a stop vertex.  It never follows the chord at its own root; the
-  exact check relies on that to measure paths that avoid the new chord,
-  and at every other caller the root's class is unassigned.  The (mask,
-  offset) pairs of the assigned classes are its move table: node_filter
-  builds it once per node and hands it to each of the node's BFSes, and
-  the exact check lets level_sets build its own, since its table holds
-  the candidate's chord.  tests/helpers.py keeps a plain per-vertex BFS
-  that level_sets is tested against.
+  (n, 2b)) rotated by c's offset.  It serves node_filter (the balls
+  around the frontier of every search node and around a partner class in
+  layer 2b) and the exact check chord_cycle_shorter_than, which passes the
+  far end as a stop vertex.  It never follows the chord at its own root;
+  the exact check relies on that to measure paths that avoid the new
+  chord, and at every other caller the root's class is unassigned.  The
+  (mask, offset) pairs of the assigned classes are its move table, which
+  every caller passes: node_filter builds one per node and hands it to
+  each of the node's BFSes, and the exact check builds its own, since its
+  table holds the candidate's chord.  tests/helpers.py keeps a plain
+  per-vertex BFS that level_sets is tested against.
 
-has_girth_at_least is the plain reference pruning predicate: it builds the
-graph forced by a partial offset assignment and searches it for a cycle
-shorter than the target girth.  The search kernel decides the same question
+The predicates read one form of a partial assignment, the kernel's table:
+2b entries, one per class, each the class's offset or -1 when the class is
+unassigned.  has_girth_at_least is the plain reference pruning predicate:
+it builds the graph such a table forces and searches it for a cycle shorter
+than the target girth.  The search kernel decides the same question
 incrementally, one new chord orbit at a time, with chord_cycle_shorter_than
 and the per-node filters below; the two are tested against each other.
 
@@ -68,11 +70,13 @@ contain a cycle of length <= g-1.  The exact check rejects such a candidate
 too: the filters change what a decision costs, never the decision.
 
 node_filter applies the three rules once when a node starts and returns one
-n-bit int: bit q is set iff they reject far end q.  The kernel passes it,
-and the candidate's far end from a table it builds once, to the exact check
-for every candidate.  Layer 2 is computed for each open class t of the
-parity opposite to j's that still has a far end outside the ball; a class's
-marks lie in that class, so no other class would add a bit that a candidate
+n-bit int: bit q is set iff they reject far end q.  It builds j's BFS levels
+once, and their cumulative balls: layer 1 is the last ball, layer 2a reads
+the levels and layer 2b the balls.  The kernel passes the int, and the
+candidate's far end from a table it builds once, to the exact check for
+every candidate.  Layer 2 is computed for each open class t of the parity
+opposite to j's that still has a far end outside the ball; a class's marks
+lie in that class, so no other class would add a bit that a candidate
 reads.
 
 Parity.  Every offset is odd and n is even, so every edge joins an even and
@@ -101,12 +105,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from operator import or_
-from typing import TYPE_CHECKING
 
 from .pattern import ExpandedGraph
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .search import PartialAssignment
 
 
 @dataclass(frozen=True)
@@ -191,33 +191,21 @@ def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
     return GirthResult(value=best if best <= cap else None, cap=cap)
 
 
-def chord_cycle_shorter_than(
-    n: int,
-    b2: int,
-    offsets: list[int],
-    rep: int,
-    g: int,
-    ends: int = 0,
-    q: int | None = None,
-) -> bool:
+def chord_cycle_shorter_than(n: int, b2: int, offsets: list[int], rep: int, g: int,
+                             ends: int, q: int) -> bool:
     """Whether some cycle through the chord orbit of position `rep` has length < g.
 
-    offsets is the full 2b position table with -1 for unassigned classes.
+    offsets is the kernel's table: 2b entries, -1 for an unassigned class.
     Because assigned chords come in whole translation orbits, it suffices to
     test the single representative chord (rep, rep + offset): a path of
-    length <= g-2 back from its far end, avoiding the chord itself, closes
-    a short cycle.  The far end is at odd distance, so depth g-3 is enough.
-    Bit x of `ends` marks a far end x the parent's node_filter already
-    rejected; those are answered without a BFS.  q is that far end,
-    (rep + offsets[rep]) mod n, computed here when not given.
+    length <= g-2 back from its far end q = (rep + offsets[rep]) mod n,
+    avoiding the chord itself, closes a short cycle.  The far end is at odd
+    distance, so depth g-3 is enough.  Bit x of `ends` marks a far end x the
+    parent's node_filter already rejected; those are answered without a BFS.
     """
-    if q is None:
-        q = rep + offsets[rep % b2]
-        if q >= n:
-            q -= n
     if ends >> q & 1:
         return True
-    return level_sets(n, b2, offsets, rep, g - 3, q)[-1] >> q & 1 == 1
+    return level_sets(n, _moves(n, b2, offsets), rep, g - 3, q)[-1] >> q & 1 == 1
 
 
 @cache
@@ -241,29 +229,26 @@ def _moves(n: int, b2: int, offsets: list[int]) -> tuple[list, list]:
     return moves
 
 
-def level_sets(n: int, b2: int, offsets: list[int], root: int, depth: int,
-               stop: int | None = None, moves: tuple[list, list] | None = None
-               ) -> list[int]:
+def level_sets(n: int, moves: tuple[list, list], root: int, depth: int,
+               stop: int | None = None) -> list[int]:
     """The BFS levels of root up to `depth`: bit x of levels[k] is set iff dist_G(root, x) = k.
 
     G is the graph of the assigned chords: the Hamiltonian cycle plus the
-    chord of every position whose entry in `offsets` is not -1.  The chord
-    at `root` itself is never followed, so when root's class is assigned
-    the distances are those of G minus that chord.  The list ends early at
-    the first empty level, or at the first level that contains `stop`.
+    chord of every assigned class, given as its move table, _moves(n, b2,
+    offsets).  The chord at `root` itself is never followed, so when root's
+    class is assigned the distances are those of G minus that chord.  The
+    list ends early at the first empty level, or at the first level that
+    contains `stop`.
 
     One step moves a whole level at once: the level rotated by +1 and -1,
     and, for each assigned class c, the level's class-c vertices rotated by
     c's offset.  Every offset is odd, so a level holds vertices of one
-    parity, and only the classes of that parity can move it.  `moves` is
-    _moves(n, b2, offsets), built here when not given.
+    parity, and only the classes of that parity can move it.
     """
     levels = [1 << root]
     target = 0 if stop is None else 1 << stop
     if depth < 1 or target & levels[0]:
         return levels
-    if moves is None:
-        moves = _moves(n, b2, offsets)
     up = root + 1 if root + 1 < n else 0
     frontier = (1 << up) | (1 << (root - 1 if root else n - 1))
     unseen = ((1 << n) - 1) ^ levels[0] ^ frontier
@@ -284,22 +269,6 @@ def level_sets(n: int, b2: int, offsets: list[int], root: int, depth: int,
     return levels
 
 
-def frontier_ball(n: int, b2: int, offsets: list[int], j: int, g: int,
-                  moves: tuple[list, list] | None = None) -> tuple[int, list[int]]:
-    """Layer 1 at the node whose frontier is j: (ball, levels).
-
-    levels are j's BFS levels in G up to g-3, and bit x of ball is set iff
-    x lies within them, so bit (j + d) mod n rejects candidate d.  A far
-    end is at odd distance, so a ball to g-3 holds every far end within
-    g-2.
-    """
-    levels = level_sets(n, b2, offsets, j, g - 3, moves=moves)
-    ball = 0
-    for level in levels:
-        ball |= level
-    return ball, levels
-
-
 def _members(bits: int):
     """The vertices of a bit set, in ascending order."""
     while bits:
@@ -308,9 +277,8 @@ def _members(bits: int):
         bits ^= low
 
 
-def mark_out_and_back(n: int, b2: int, offsets: list[int], j: int, t: int, g: int,
-                      levels: list[int], moves: tuple[list, list] | None = None,
-                      balls: list[int] | None = None) -> bool:
+def mark_out_and_back(n: int, b2: int, j: int, t: int, g: int,
+                      moves: tuple[list, list], balls: list[int]) -> bool:
     """Layer 2b: whether a short out-and-back walk rejects every far end of class t.
 
     x and t share a class and y = j + t - x shares j's, so l1 and l2 are
@@ -319,12 +287,10 @@ def mark_out_and_back(n: int, b2: int, offsets: list[int], j: int, t: int, g: in
     Rotation by x - t, a multiple of 2b, maps G to itself, y to j and j to
     j + x - t, so D(y) = D(j + x - t): one rotation by j - t moves every
     class-t vertex of a level to the vertex whose distance from j to read.
-    balls[k] is the union of levels[:k + 1], built here when not given.
+    moves is G's move table, and balls[k] the set of vertices within k of j.
     """
-    if balls is None:
-        balls = list(accumulate(levels, or_))
     mask = _class_masks(n, b2)[t]
-    from_t = level_sets(n, b2, offsets, t, g - 6 if b2 == 2 else g - 8, moves=moves)
+    from_t = level_sets(n, moves, t, g - 6 if b2 == 2 else g - 8)
     shift = (j - t) % n
     last = len(balls) - 1
     for l1 in range(2, len(from_t), 2):
@@ -363,48 +329,49 @@ def node_filter(n: int, b2: int, offsets: list[int], j: int, g: int) -> int:
     """The far ends the filters reject at the node whose frontier is j, as a bit set.
 
     offsets is the node's own table, with j unassigned.  Layer 1 is the
-    frontier ball.  Every open class t of the other parity that still has
+    ball of the vertices within g-3 of j, so bit (j + d) mod n rejects
+    candidate d: a far end is at odd distance, so that ball holds every far
+    end within g-2.  Every open class t of the other parity that still has
     a vertex outside the ball adds its layer-2 marks: the whole class when
     an out-and-back walk exists, and its same-direction marks otherwise.
     The node's BFSes share one move table, and its out-and-back walks one
     list of cumulative balls around j.
     """
     moves = _moves(n, b2, offsets)
-    ball, levels = frontier_ball(n, b2, offsets, j, g, moves)
+    levels = level_sets(n, moves, j, g - 3)
     balls = list(accumulate(levels, or_))
-    ends = ball
+    ends = ball = balls[-1]
     masks = _class_masks(n, b2)
     for t in range(~j & 1, b2, 2):
         if offsets[t] >= 0 or not masks[t] & ~ball:
             continue
-        if mark_out_and_back(n, b2, offsets, j, t, g, levels, moves, balls):
+        if mark_out_and_back(n, b2, j, t, g, moves, balls):
             ends |= masks[t]
         else:
             ends |= mark_same_direction(n, b2, j, t, g, levels)
     return ends
 
 
-def has_girth_at_least(partial: "PartialAssignment", g: int) -> bool:
-    """Reference pruning predicate over the edges forced by a partial assignment.
+def has_girth_at_least(n: int, b2: int, offsets: list[int], g: int) -> bool:
+    """Reference pruning predicate over the edges forced by a partial offset table.
 
-    False exactly when the Hamiltonian cycle plus the chords of the assigned
-    classes already contain a cycle shorter than g; a prefix of any pattern
-    whose completion has girth >= g therefore always passes.  Monotone: once
-    False, every extension and every larger g stays False.  The graph is
-    built explicitly and searched by the oracle's BFS from the 2b class
-    representatives only: rotation by 2b maps the graph to itself, so every
-    cycle has a rotated copy whose least vertex is one of them, as the
-    module docstring describes.
+    offsets is the kernel's table: 2b entries, -1 for an unassigned class.
+    False exactly when the Hamiltonian cycle of order n plus the chords of
+    the assigned classes already contain a cycle shorter than g; a prefix of
+    any pattern whose completion has girth >= g therefore always passes.
+    Monotone: once False, every extension and every larger g stays False.
+    The graph is built explicitly and searched by the oracle's BFS from the
+    2b class representatives only: rotation by 2b maps the graph to itself,
+    so every cycle has a rotated copy whose least vertex is one of them, as
+    the module docstring describes.
     """
     if g <= 3:
         return True
-    n = 2 * partial.m
-    b2 = 2 * partial.b
     adj = []
     for u in range(n):
         nbrs = [(u - 1) % n, (u + 1) % n]
-        d = partial.offsets[u % b2]
-        if d is not None:
+        d = offsets[u % b2]
+        if d >= 0:
             nbrs.append((u + d) % n)
         adj.append(nbrs)
     return _shortest_cycle(adj, range(b2), g - 1).value is None

@@ -44,8 +44,6 @@ from .girth import chord_cycle_shorter_than, girth_oracle, node_filter
 from .pattern import (
     DivisibilityError,
     OffsetPattern,
-    PatternError,
-    RangeError,
     canonical_form,
     expand,
     validate_pattern,
@@ -93,62 +91,6 @@ class SearchSpec:
                 raise ValueError(f"order {n} is not an even integer >= 6")
             if (n // 2) % self.b != 0:
                 raise DivisibilityError(f"order {n}: b={self.b} does not divide m={n // 2}")
-
-
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Offsets fixed for some involution pairs; None marks unassigned positions."""
-
-    m: int
-    b: int
-    offsets: tuple[int | None, ...]
-
-    @property
-    def frontier(self) -> int | None:
-        for j, d in enumerate(self.offsets):
-            if d is None:
-                return j
-        return None
-
-
-def partial_assignment(m: int, b: int, offsets) -> PartialAssignment:
-    """Validate the assigned entries of a partial offset table.
-
-    Assigned entries must individually satisfy the single-offset constraints
-    and pairwise involution consistency; unassigned positions are None.
-    """
-    if m < 3:
-        raise RangeError(f"m={m}: no simple trivalent graph below order 6")
-    if b < 1 or m % b != 0:
-        raise DivisibilityError(f"b={b} does not divide m={m}")
-    n = 2 * m
-    b2 = 2 * b
-    seq = list(offsets)
-    if len(seq) != b2:
-        raise ValueError(f"expected {b2} entries, got {len(seq)}")
-    table: list[int | None] = []
-    for j, raw in enumerate(seq):
-        if raw is None:
-            table.append(None)
-            continue
-        d = int(raw) % n
-        if d == 0 or d == 1 or d == n - 1 or d % 2 == 0:
-            raise PatternError(f"position {j + 1}: offset {raw} violates chord constraints")
-        table.append(d)
-    for j, d in enumerate(table):
-        if d is None:
-            continue
-        t = (j + d) % b2
-        if table[t] is None:
-            raise PatternError(
-                f"position {j + 1} is assigned but its involution partner "
-                f"{t + 1} is not; pairs are always filled together"
-            )
-        if table[t] != n - d:
-            raise PatternError(
-                f"positions {j + 1} and {t + 1}: assigned offsets are not negations mod {n}"
-            )
-    return PartialAssignment(m=m, b=b, offsets=tuple(table))
 
 
 @dataclass(frozen=True)
@@ -614,15 +556,16 @@ def partition(spec: SearchSpec, order: int, shards: int) -> list[ShardRange]:
 
 
 def merge_certificates(certs: list[ExhaustionCertificate]) -> ExhaustionCertificate:
-    """Sum counters of disjoint-range certificates for one search."""
+    """Sum counters of disjoint-range certificates for one search by one engine."""
     if not certs:
         raise ValueError("nothing to merge")
     base = certs[0]
     for c in certs:
-        if (c.g, c.order, c.b, c.mode, c.reduction, c.root_lo, c.root_hi) != (
+        if (c.g, c.order, c.b, c.mode, c.reduction, c.root_lo, c.root_hi, c.engine) != (
                 base.g, base.order, base.b, base.mode, base.reduction,
-                base.root_lo, base.root_hi):
-            raise ValueError("certificates describe different searches; refusing to merge")
+                base.root_lo, base.root_hi, base.engine):
+            raise ValueError("certificates describe different searches or engines; "
+                             "refusing to merge")
     seen_hi = None
     for lo, hi in sorted(r for c in certs for r in c.covered):
         if seen_hi is not None and lo <= seen_hi:
@@ -635,10 +578,12 @@ def merge_certificates(certs: list[ExhaustionCertificate]) -> ExhaustionCertific
         # coverage after merging (e.g. stitching a resumed run onto a
         # breached one) is a completed enumeration
         status = "complete"
+    elif "halted-witness" in statuses:
+        # no run writes a resume file after a halt, so in a resume chain the
+        # halted certificate is the last one, and the chain ends at the halt
+        status = "halted-witness"
     elif "budget-exceeded" in statuses:
         status = "budget-exceeded"
-    elif "halted-witness" in statuses:
-        status = "halted-witness"
     else:
         status = "complete"
     return ExhaustionCertificate(

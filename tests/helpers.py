@@ -25,7 +25,7 @@ from hbgsearch.pattern import (
     expand,
     validate_pattern,
 )
-from hbgsearch.search import PartialAssignment, candidate_values
+from hbgsearch.search import candidate_values
 
 
 def brute_force_survey(b: int, order: int, limit: int = 8_000_000):
@@ -243,21 +243,22 @@ def compose_transforms(first: PatternTransform, second: PatternTransform) -> Pat
     return PatternTransform(shift=first.shift + s2, reflect=first.reflect != second.reflect)
 
 
-def assignment_prefix(pattern: OffsetPattern, pairs: int) -> PartialAssignment:
-    """Replay the first `pairs` search steps of a full pattern."""
+def assignment_prefix(pattern: OffsetPattern, pairs: int) -> tuple[int, int, list[int]]:
+    """Replay the first `pairs` search steps of a full pattern: (n, 2b, table),
+    with the kernel's table, -1 for an unassigned class."""
     b2 = pattern.positions
-    table: list[int | None] = [None] * b2
+    table = [-1] * b2
     done = 0
     for j in range(b2):
         if done >= pairs:
             break
-        if table[j] is not None:
+        if table[j] >= 0:
             continue
         d = pattern.offsets[j]
         table[j] = d
         table[(j + d) % b2] = pattern.order - d
         done += 1
-    return PartialAssignment(m=pattern.m, b=pattern.b, offsets=tuple(table))
+    return pattern.order, b2, table
 
 
 def write_golden(path, golden: dict, records=dict) -> None:

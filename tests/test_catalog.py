@@ -331,11 +331,6 @@ class TestNonExistenceReport:
         with pytest.raises(ValueError):
             non_existence_report(14, [cert])
 
-    def test_missing_expected_order_rejected(self):
-        certs = self.certs_for(6, 1, [6, 8])
-        with pytest.raises(ValueError):
-            non_existence_report(6, certs, expected={1: [6, 8, 10]})
-
     def test_wrong_girth_rejected(self):
         certs = self.certs_for(6, 1, [12])
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from hbgsearch import cli
 from hbgsearch.cli import main
+from hbgsearch.search import ENGINE_TAG
 
 
 def run_cli(*argv, capsys=None):
@@ -428,6 +429,35 @@ class TestResumeSafety:
         assert code == 1
         assert "different searches" in err
         assert _snapshot(out_dir) == before
+
+    def test_certificate_of_another_engine_is_kept(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        resume = self._breached_run(out_dir, capsys)
+        cert = out_dir / "g14_n258_b3.cert"
+        cert.write_text(cert.read_text().replace(f"engine {ENGINE_TAG}\n",
+                                                 "engine hbgsearch-0.0.9\n"))
+        before = _snapshot(out_dir)
+        monkeypatch.setattr(cli, "enumerate_order", _no_enumeration)
+        code, out, err = run_cli("search", "--resume", str(resume), "--quiet",
+                                 capsys=capsys)
+        assert code == 1
+        assert "different searches or engines" in err
+        assert _snapshot(out_dir) == before
+
+    def test_resumed_first_witness_run_keeps_its_halt(self, tmp_path, capsys):
+        search = ("search", "--girth", "10", "--sym", "4", "--min", "80", "--max", "80",
+                  "--mode", "first", "--quiet")
+        direct, chain = tmp_path / "direct", tmp_path / "chain"
+        code, *_ = run_cli(*search, "--out", str(direct), capsys=capsys)
+        assert code == 0
+        code, *_ = run_cli(*search, "--node-budget", "3", "--out", str(chain), capsys=capsys)
+        assert code == 2
+        code, *_ = run_cli("search", "--resume", str(chain / "g10_n80_b4.resume"),
+                           "--node-budget", "100000", "--quiet", capsys=capsys)
+        assert code == 0
+        assert "status halted-witness\n" in (direct / "g10_n80_b4.cert").read_text()
+        # the same .cert bytes and witness file, and no resume file left
+        assert _snapshot(chain) == _snapshot(direct)
 
     def test_resume_without_progress_says_so(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

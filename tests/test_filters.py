@@ -2,7 +2,7 @@
 
 The kernel decides each candidate with the node's filter marks and, for the
 candidates they leave open, the exact chord BFS.  Here every decision at a
-node is compared with has_girth_at_least on the child assignment, which
+node is compared with has_girth_at_least on the child's table, which
 builds the graph explicitly, and every far end each filter rule marks is
 checked to be one the exact BFS rejects on its own.  The kernel's bit-set
 BFS is checked against the plain per-vertex BFS of the helpers, and each
@@ -11,19 +11,21 @@ names, measured with that plain BFS.
 """
 
 import random
+from itertools import accumulate
+from operator import or_
 
 import pytest
 
 from hbgsearch import has_girth_at_least, search
 from hbgsearch.girth import (
+    _moves,
     chord_cycle_shorter_than,
-    frontier_ball,
     level_sets,
     mark_out_and_back,
     mark_same_direction,
     node_filter,
 )
-from hbgsearch.search import candidate_values, partial_assignment
+from hbgsearch.search import candidate_values
 
 from helpers import distances_within
 
@@ -32,10 +34,6 @@ DIFFERENTIAL_CASES = [
     (6, 1, 14), (8, 3, 30), (8, 3, 42), (10, 2, 40), (10, 5, 70), (12, 4, 104),
     (12, 6, 132), (14, 3, 258), (14, 7, 266), (14, 4, 312), (14, 3, 384), (14, 8, 384),
 ]
-
-
-def _table(offsets):
-    return [None if d < 0 else d for d in offsets]
 
 
 def random_node(rng, g, b, n):
@@ -51,7 +49,7 @@ def random_node(rng, g, b, n):
             if offs[t] >= 0:
                 continue
             offs[j], offs[t] = d, n - d
-            if has_girth_at_least(partial_assignment(n // 2, b, _table(offs)), g):
+            if has_girth_at_least(n, b2, offs, g):
                 break
             offs[j] = offs[t] = -1
         else:
@@ -64,11 +62,11 @@ def kernel_decisions(monkeypatch, g, b, n, offs):
     j = offs.index(-1)
     calls = []
 
-    def record(n_, b2, offsets, rep, g_, ends=0, q=None):
+    def record(n_, b2, offsets, rep, g_, ends, q):
         if rep != j:
             return True  # a grandchild: this test looks at one node only
         assert q == (rep + offsets[rep % b2]) % n_
-        rejected = chord_cycle_shorter_than(n_, b2, offsets, rep, g_, ends)
+        rejected = chord_cycle_shorter_than(n_, b2, offsets, rep, g_, ends, q)
         calls.append((list(offsets), rejected, bool(ends >> q & 1)))
         return rejected
 
@@ -90,11 +88,19 @@ def test_kernel_decisions_equal_the_reference_predicate(monkeypatch):
         for _ in range(3):
             offs = random_node(rng, g, b, n)
             for child, rejected, by_marks in kernel_decisions(monkeypatch, g, b, n, offs):
-                expected = has_girth_at_least(partial_assignment(n // 2, b, _table(child)), g)
+                expected = has_girth_at_least(n, 2 * b, child, g)
                 assert rejected != expected, (g, b, n, child)
                 tally["accept" if not rejected else "marks" if by_marks else "exact reject"] += 1
     # the comparison reached all three kinds of decision
     assert min(tally.values()) > 0, tally
+
+
+def node_balls(n, b2, offs, j, g):
+    """The node's move table, j's BFS levels up to g-3 and their cumulative
+    balls, as node_filter builds them."""
+    moves = _moves(n, b2, offs)
+    levels = level_sets(n, moves, j, g - 3)
+    return moves, levels, list(accumulate(levels, or_))
 
 
 def search_nodes(g, b, n, rng, limit):
@@ -117,7 +123,7 @@ def search_nodes(g, b, n, rng, limit):
             if offs[t] >= 0:
                 continue
             offs[j], offs[t] = d, n - d
-            if not chord_cycle_shorter_than(n, b2, offs, j, g):
+            if not chord_cycle_shorter_than(n, b2, offs, j, g, 0, (j + d) % n):
                 go()
             offs[j] = offs[t] = -1
 
@@ -132,12 +138,12 @@ def test_every_marked_far_end_is_rejected_by_the_exact_bfs(g, b, n):
     cand = set(candidate_values(n))
     marked = {"layer 1": 0, "layer 2a": 0, "layer 2b": 0}
     for offs, j in search_nodes(g, b, n, random.Random(n), limit=60):
-        ball, levels = frontier_ball(n, b2, offs, j, g)
-        rules = {"layer 1": ball, "layer 2b": 0, "layer 2a": 0}
+        moves, levels, balls = node_balls(n, b2, offs, j, g)
+        rules = {"layer 1": balls[-1], "layer 2b": 0, "layer 2a": 0}
         for t in range(b2):
             if offs[t] >= 0 or (t - j) % 2 == 0:
                 continue
-            if mark_out_and_back(n, b2, offs, j, t, g, levels):
+            if mark_out_and_back(n, b2, j, t, g, moves, balls):
                 rules["layer 2b"] |= sum(1 << q for q in range(t, n, b2))
             rules["layer 2a"] |= mark_same_direction(n, b2, j, t, g, levels)
         for rule, ends in rules.items():
@@ -147,7 +153,7 @@ def test_every_marked_far_end_is_rejected_by_the_exact_bfs(g, b, n):
                     continue
                 child = list(offs)
                 child[j], child[t] = d, n - d
-                assert chord_cycle_shorter_than(n, b2, child, j, g), (rule, child)
+                assert chord_cycle_shorter_than(n, b2, child, j, g, 0, q), (rule, child)
                 marked[rule] += 1
     assert marked["layer 1"] > 0, marked
 
@@ -175,16 +181,17 @@ def test_level_sets_equal_the_reference_distances(g):
         n = 2 * b * rng.randrange(max(2, 4 // b), 384 // (2 * b) + 1)
         b2 = 2 * b
         offs = random_table(rng, b, n)
+        moves = _moves(n, b2, offs)
         root = rng.randrange(n)
         roots["assigned" if offs[root % b2] >= 0 else "unassigned"] += 1
         for depth in (g - 6, g - 3, g - 2):
             ref = distances_within(n, b2, offs, root, depth)
-            levels = level_sets(n, b2, offs, root, depth)
+            levels = level_sets(n, moves, root, depth)
             assert len(levels) == max(ref) + 1, (g, b, n, offs, root, depth)
             for k, level in enumerate(levels):
                 assert level == sum(1 << x for x in range(n) if ref[x] == k), (k, offs, root)
             for stop in {rng.randrange(n), (root + 1) % n, root}:
-                reached = level_sets(n, b2, offs, root, depth, stop)[-1] >> stop & 1
+                reached = level_sets(n, moves, root, depth, stop)[-1] >> stop & 1
                 assert reached == (ref[stop] >= 0), (offs, root, depth, stop)
     # the root's own chord, which is never followed, came up both ways
     assert min(roots.values()) > 0, roots
@@ -206,7 +213,8 @@ def check_filter_marks(g, b, n, seen):
     cand = candidate_values(n)
     for offs, j in search_nodes(g, b, n, random.Random(n + g), limit=40):
         dist = distances_within(n, b2, offs, j, n)
-        ends, levels = frontier_ball(n, b2, offs, j, g)
+        moves, levels, balls = node_balls(n, b2, offs, j, g)
+        ends = balls[-1]
         # layer 1: every valid far end within g-2 of j in G
         for d in cand:
             q = (j + d) % n
@@ -220,7 +228,7 @@ def check_filter_marks(g, b, n, seen):
             from_t = distances_within(n, b2, offs, t, n)
             walks = [from_t[x] for x in range(t + b2, n, b2)
                      if from_t[x] + dist[(j + t - x) % n] <= g - 3]
-            assert mark_out_and_back(n, b2, offs, j, t, g, levels) == bool(walks), (offs, j, t)
+            assert mark_out_and_back(n, b2, j, t, g, moves, balls) == bool(walks), (offs, j, t)
             seen["layer 2b"] += bool(walks)
             seen["layer 2b at l1 = g-6 only"] += bool(walks) and min(walks) == g - 6
             # layer 2a: the marks of a brute-force pass over all pairs x1, x2
@@ -248,8 +256,8 @@ def test_exact_check_alone_equals_the_reference_predicate(g, b, n):
                 continue
             child = list(offs)
             child[j], child[t] = d, n - d
-            short = chord_cycle_shorter_than(n, b2, child, j, g)
-            assert short != has_girth_at_least(partial_assignment(n // 2, b, _table(child)), g)
+            short = chord_cycle_shorter_than(n, b2, child, j, g, 0, (j + d) % n)
+            assert short != has_girth_at_least(n, b2, child, g)
             decided[short] += 1
     assert min(decided.values()) > 0, decided
 
@@ -261,7 +269,8 @@ def test_node_filter_is_the_ball_and_each_open_partner_class(g, b, n):
     b2 = 2 * b
     seen = {"layer 2 beyond the ball": 0, "taken partner class": 0}
     for offs, j in search_nodes(g, b, n, random.Random(3 * n + g), limit=60):
-        ball, levels = frontier_ball(n, b2, offs, j, g)
+        moves, levels, balls = node_balls(n, b2, offs, j, g)
+        ball = balls[-1]
         expected = ball
         elsewhere = 0  # the classes that are taken or share j's parity
         for t in range(b2):
@@ -269,7 +278,7 @@ def test_node_filter_is_the_ball_and_each_open_partner_class(g, b, n):
             if offs[t] >= 0 or (t - j) % 2 == 0:
                 elsewhere |= whole_class
                 seen["taken partner class"] += offs[t] >= 0 and (t - j) % 2 == 1
-            elif mark_out_and_back(n, b2, offs, j, t, g, levels):
+            elif mark_out_and_back(n, b2, j, t, g, moves, balls):
                 expected |= whole_class
             else:
                 expected |= mark_same_direction(n, b2, j, t, g, levels)

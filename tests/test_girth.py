@@ -9,7 +9,6 @@ from hbgsearch import (
     has_girth_at_least,
 )
 from hbgsearch.girth import _shortest_cycle
-from hbgsearch.search import partial_assignment
 
 from helpers import assignment_prefix, edge_removal_girth, girth_fast, random_pattern
 
@@ -245,48 +244,45 @@ def test_least_vertex_rule_under_rotation():
 
 class TestPruningPredicate:
     def test_empty_assignment(self):
-        empty = partial_assignment(10, 2, [None] * 4)
-        assert has_girth_at_least(empty, 20)       # any g <= 2m
-        assert has_girth_at_least(empty, 2 * 10)
-        assert not has_girth_at_least(empty, 22)   # the bare cycle is a 20-cycle
+        empty = [-1] * 4
+        assert has_girth_at_least(20, 4, empty, 20)       # any g <= n
+        assert not has_girth_at_least(20, 4, empty, 22)   # the bare cycle is a 20-cycle
 
     def test_small_offset_closes_short_cycle(self):
         # a chord of offset 3 plus three cycle edges is a 4-cycle
-        pa = partial_assignment(30, 1, [3, 57])
-        assert not has_girth_at_least(pa, 8)
-        assert has_girth_at_least(pa, 4)
+        table = [3, 57]
+        assert not has_girth_at_least(60, 2, table, 8)
+        assert has_girth_at_least(60, 2, table, 4)
 
     def test_heawood_prefix_replay(self, heawood):
         for pairs in range(0, heawood.b + 1):
-            pa = assignment_prefix(heawood, pairs)
-            assert has_girth_at_least(pa, 6)
+            assert has_girth_at_least(*assignment_prefix(heawood, pairs), 6)
 
     def test_tutte_coxeter_prefix_replay(self, tutte_coxeter):
         for pairs in range(0, tutte_coxeter.b + 1):
-            pa = assignment_prefix(tutte_coxeter, pairs)
-            assert has_girth_at_least(pa, 8)
+            assert has_girth_at_least(*assignment_prefix(tutte_coxeter, pairs), 8)
 
     def test_full_assignment_matches_measured_girth(self, rng):
         for _ in range(60):
             p = random_pattern(rng, max_m=20)
             full = assignment_prefix(p, p.b)
             v = girth_fast(p, p.order).value
-            assert has_girth_at_least(full, v)
-            assert not has_girth_at_least(full, v + 1)
+            assert has_girth_at_least(*full, v)
+            assert not has_girth_at_least(*full, v + 1)
 
     def test_monotone_in_g_and_under_extension(self, rng):
         for _ in range(60):
             p = random_pattern(rng, max_m=20)
             cut = rng.randrange(0, p.b + 1)
-            pa = assignment_prefix(p, cut)
+            prefix = assignment_prefix(p, cut)
             for g in range(4, 2 * p.m + 3, 2):
-                ok = has_girth_at_least(pa, g)
+                ok = has_girth_at_least(*prefix, g)
                 if not ok:
                     # every extension of the prefix must also fail
                     for pairs in range(cut, p.b + 1):
-                        assert not has_girth_at_least(assignment_prefix(p, pairs), g)
+                        assert not has_girth_at_least(*assignment_prefix(p, pairs), g)
                     # and every larger girth target too
-                    assert not has_girth_at_least(pa, g + 2)
+                    assert not has_girth_at_least(*prefix, g + 2)
                     break
 
     def test_never_false_on_prefix_of_good_completion(self, rng):
@@ -294,23 +290,4 @@ class TestPruningPredicate:
             p = random_pattern(rng, max_m=20)
             v = girth_fast(p, p.order).value
             for pairs in range(0, p.b + 1):
-                assert has_girth_at_least(assignment_prefix(p, pairs), v)
-
-
-class TestPartialAssignment:
-    def test_validates_pairwise_consistency(self):
-        with pytest.raises(Exception):
-            partial_assignment(7, 1, [5, 5])
-        pa = partial_assignment(7, 1, [5, 9])
-        assert pa.frontier is None
-        pa = partial_assignment(15, 3, [7, 23, None, None, None, None])
-        assert pa.frontier == 2
-
-    def test_rejects_half_assigned_pair(self):
-        with pytest.raises(Exception):
-            partial_assignment(15, 3, [7, None, None, None, None, None])
-
-    def test_rejects_bad_single_offsets(self):
-        for bad in (0, 1, 2, 13):
-            with pytest.raises(Exception):
-                partial_assignment(7, 1, [bad, None])
+                assert has_girth_at_least(*assignment_prefix(p, pairs), v)

@@ -187,6 +187,26 @@ class TestBudget:
         direct = enumerate_order(full_spec, 258)
         assert stitched == direct.certificate
 
+    @pytest.mark.parametrize("g, b, order", [(10, 4, 80), (8, 3, 42), (14, 3, 258),
+                                             (10, 2, 40)])
+    @pytest.mark.parametrize("mode", ["first", "all", "prove"])
+    def test_every_resume_chain_merges_to_the_uninterrupted_certificate(self, g, b, order,
+                                                                        mode):
+        """Breach, then resume the pending ranges until none is left; a step
+        after one that covered nothing runs with no budget.  The merged
+        certificate is the uninterrupted one, a first-witness halt included."""
+        unbudgeted = spec_for(g, b, [order], mode=mode)
+        direct = enumerate_order(unbudgeted, order).certificate
+        for node_budget in (1, 3, 10, 50, 200, 1000, 4000):
+            spec = spec_for(g, b, [order], mode=mode, node_budget=node_budget)
+            oc = enumerate_order(spec, order)
+            certs = [oc.certificate]
+            while oc.pending:
+                step = spec if oc.certificate.covered else unbudgeted
+                oc = enumerate_order(step, order, ranges=list(oc.pending))
+                certs.append(oc.certificate)
+            assert merge_certificates(certs) == direct, node_budget
+
     def test_budget_never_claims_nonexistence(self):
         spec = spec_for(14, 3, [258], mode="prove", node_budget=50)
         oc = enumerate_order(spec, 258)
