@@ -29,8 +29,10 @@ There are two BFS loops, one reference and one for the kernel.
   chord, and at every other caller the root's class is unassigned.  The
   (mask, offset) pairs of the assigned classes are its move table, which
   every caller passes: node_filter builds one per node and hands it to
-  each of the node's BFSes, and the exact check builds its own, since its
-  table holds the candidate's chord.  tests/helpers.py keeps a plain
+  each of the node's BFSes.  The exact check reads the node's own table,
+  which lacks the candidate's pair, so when the filter bit does not
+  answer it builds the child's move table: the node's, plus the
+  candidate's chord and its partner's.  tests/helpers.py keeps a plain
   per-vertex BFS that level_sets is tested against.
 
 The predicates read one form of a partial assignment, the kernel's table:
@@ -72,12 +74,12 @@ too: the filters change what a decision costs, never the decision.
 node_filter applies the three rules once when a node starts and returns one
 n-bit int: bit q is set iff they reject far end q.  It builds j's BFS levels
 once, and their cumulative balls: layer 1 is the last ball, layer 2a reads
-the levels and layer 2b the balls.  The kernel passes the int, and the
-candidate's far end from a table it builds once, to the exact check for
-every candidate.  Layer 2 is computed for each open class t of the parity
-opposite to j's that still has a far end outside the ball; a class's marks
-lie in that class, so no other class would add a bit that a candidate
-reads.
+the levels and layer 2b the balls.  The kernel passes the int, the node's
+table and the candidate's far end, from a list of the node's open
+candidates, to the exact check for every open candidate.  Layer 2 is
+computed for each open class t of the parity opposite to j's that still
+has a far end outside the ball; a class's marks lie in that class, so no
+other class would add a bit that a candidate reads.
 
 Parity.  Every offset is odd and n is even, so every edge joins an even and
 an odd vertex: every pattern graph is bipartite, and a path between two
@@ -193,19 +195,28 @@ def _shortest_cycle(adj, roots, cap: int) -> GirthResult:
 
 def chord_cycle_shorter_than(n: int, b2: int, offsets: list[int], rep: int, g: int,
                              ends: int, q: int) -> bool:
-    """Whether some cycle through the chord orbit of position `rep` has length < g.
+    """Whether adding the chord orbit of (rep, q) closes a cycle shorter than g.
 
-    offsets is the kernel's table: 2b entries, -1 for an unassigned class.
-    Because assigned chords come in whole translation orbits, it suffices to
-    test the single representative chord (rep, rep + offset): a path of
-    length <= g-2 back from its far end q = (rep + offsets[rep]) mod n,
-    avoiding the chord itself, closes a short cycle.  The far end is at odd
-    distance, so depth g-3 is enough.  Bit x of `ends` marks a far end x the
-    parent's node_filter already rejected; those are answered without a BFS.
+    offsets is the node's own table: 2b entries, -1 for an unassigned
+    class, with rep's class and q's class both unassigned.  The candidate
+    is the offset d = (q - rep) mod n at rep, which forces n - d on q's
+    class q mod 2b; the table is left as it is.  Because assigned chords
+    come in whole translation orbits, it suffices to test the single
+    representative chord (rep, q): a path of length <= g-2 from rep to q,
+    in the child graph minus that chord, closes a short cycle.  q is at odd
+    distance, so depth g-3 is enough.  Bit x of `ends` marks a far end x
+    the node's node_filter already rejected; those are answered without a
+    BFS, and without building the child's move table.
     """
     if ends >> q & 1:
         return True
-    return level_sets(n, _moves(n, b2, offsets), rep, g - 3, q)[-1] >> q & 1 == 1
+    d = (q - rep) % n
+    t = q % b2
+    masks = _class_masks(n, b2)
+    moves = _moves(n, b2, offsets)
+    moves[rep & 1].append((masks[rep], d))
+    moves[t & 1].append((masks[t], n - d))
+    return level_sets(n, moves, rep, g - 3, q)[-1] >> q & 1 == 1
 
 
 @cache

@@ -20,21 +20,29 @@ summation: nodes = expansions - conflicts - girth_rejects - sym_skips, and
 the covered first-position value ranges record exactly which subtrees the
 counters describe.
 
-The kernel's hot path is the per-candidate loop of _Kernel._try_values.
-It keeps a node's counts in locals, reads each candidate's partner class
-and far end from a table built once per kernel, and writes the counts back
-to the kernel before each descent and on every return (end of node,
-first-witness halt, budget breach), so the kernel's counters are exact
-whenever another node or the caller reads them.  It still calls the exact
-check, chord_cycle_shorter_than, once for every candidate that is neither
-a conflict nor a symmetry skip, also when the node's filter decides it:
-the tier-1 tests and the benchmark's traced self-check both count those
-calls.
+The kernel's hot path is the candidate loop of _Kernel._try_values.  A
+node walks only its open candidates, those whose partner class is
+unassigned: their far ends, in ascending offset, come from a list built
+once per set of assigned classes, and the reduction keeps one slice of
+it.  The loop body is one call to the exact check,
+chord_cycle_shorter_than, on the node's own table; the table gets a
+candidate's pair only for a descent.  The node's conflicts, sym skips and
+girth rejects follow from the position where its walk stopped, and are
+written back on every return (end of node, first-witness halt, budget
+breach), expansions also before each descent, so the kernel's counters
+are exact whenever the caller reads them.  The exact check still runs
+once for every candidate that is neither a conflict nor a symmetry skip,
+also when the node's filter decides it: the tier-1 tests and the
+benchmark's traced self-check both count those calls.  A root is the only
+candidate of its node, so run_root decides it with one call against the
+root filter, which like the open lists is built once per (order, b, g)
+in a process, and then descends.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import operator
 import time
@@ -216,11 +224,47 @@ def root_values(order: int, reduction: bool) -> list[int]:
     return cand
 
 
+class _OpenLists(dict):
+    """The open candidates of a node, by its set of assigned classes, built on first use.
+
+    A key is a bit set of the assigned classes, and the node's frontier j
+    its least unassigned class.  Its value is (qs, below): qs the far ends
+    (j + d) mod n of the candidates d whose partner class (j + d) mod 2b is
+    unassigned, in ascending d, and below[i] the number of those among the
+    first i candidates, so an open candidate of index i sits at qs[below[i]].
+    """
+
+    def __init__(self, n: int, b2: int):
+        super().__init__()
+        self.n = n
+        self.b2 = b2
+
+    def __missing__(self, key: int):
+        n, b2 = self.n, self.b2
+        j = (~key & (key + 1)).bit_length() - 1
+        qs, below = [], [0]
+        for d in candidate_values(n):
+            if not key >> (j + d) % b2 & 1:
+                qs.append((j + d) % n)
+            below.append(len(qs))
+        self[key] = entry = (qs, below)
+        return entry
+
+
+@functools.lru_cache(maxsize=4)
+def _order_tables(order: int, b: int, g: int) -> tuple[int, _OpenLists]:
+    """The root filter and the open lists of one (order, b, g), shared by every
+    kernel of it in this process; a pool worker builds them once, not per shard."""
+    b2 = 2 * b
+    # every root value is a candidate at the same node, the bare cycle at j=0
+    return node_filter(order, b2, [-1] * b2, 0, g), _OpenLists(order, b2)
+
+
 class _Kernel:
     """Depth-first enumeration below one root value; counters per run_root call."""
 
     __slots__ = (
-        "n", "b2", "g", "choices", "offsets", "reduction", "collect", "root_node",
+        "n", "b2", "g", "full", "root_ends", "open_lists", "offsets", "reduction", "collect",
         "expansions", "conflicts", "girth_rejects", "sym_skips", "nodes", "leaves",
         "witnesses", "breached", "stop", "budget",
     )
@@ -229,118 +273,124 @@ class _Kernel:
         self.n = order
         self.b2 = b2 = 2 * b
         self.g = g
-        # choices[j]: (d, t, q) for every candidate d at frontier j, ascending,
-        # with t = (j + d) mod 2b the partner class d forces and q = (j + d)
-        # mod n the far end of its chord
-        self.choices = [[(d, (j + d) % b2, (j + d) % order) for d in candidate_values(order)]
-                        for j in range(b2)]
+        self.full = (1 << b2) - 1  # the key of a complete assignment
+        self.root_ends, self.open_lists = _order_tables(order, b, g)
         self.offsets = [-1] * b2
         self.reduction = reduction
         self.collect = collect
-        # every root value is a candidate at the same node, the bare cycle at
-        # j=0, so its filter is computed once per kernel
-        self.root_node = node_filter(order, b2, self.offsets, 0, g)
 
     def run_root(self, root: int, budget: int | None):
-        self.expansions = 0
-        self.conflicts = 0
-        self.girth_rejects = 0
-        self.sym_skips = 0
-        self.nodes = 0
-        self.leaves = 0
-        self.witnesses = []
-        self.breached = False
-        self.stop = False
-        self.budget = budget
-        # offsets[0] is still -1, so the reduction skips no root value here:
-        # root_values already dropped the reflected ones
-        self._try_values(0, ((root, root % self.b2, root),), self.root_node)
+        """Decide the root candidate, one predicate call against the root
+        filter, and search below it if it is accepted.
 
-    def _descend(self):
+        The root is the only candidate at the root node; it is never a
+        conflict, and root_values already dropped the reflected ones, so
+        it is never a symmetry skip either.  A budget, when given, is at
+        least 1, as _root_runs only runs a root while some is left.
+        """
+        self.conflicts = self.girth_rejects = self.sym_skips = self.nodes = self.leaves = 0
+        self.witnesses = []
+        self.breached = self.stop = False
+        self.budget = budget
+        self.expansions = 1
+        n = self.n
+        if chord_cycle_shorter_than(n, self.b2, self.offsets, 0, self.g, self.root_ends, root):
+            self.girth_rejects = 1
+            return
+        self.nodes = 1
         offs = self.offsets
-        if -1 not in offs:
+        t = root % self.b2
+        offs[0] = root
+        offs[t] = n - root
+        self._try_values(1 | 1 << t)
+        offs[0] = offs[t] = -1
+
+    def _try_values(self, key: int):
+        """Search the node whose assigned classes are the bit set `key`.
+
+        A complete assignment is a leaf.  Otherwise the node's frontier j is
+        its least unassigned class, and it walks only its open candidates,
+        the far ends qs of open_lists[key], in ascending offset: a candidate
+        whose partner class is taken is a conflict, and is counted, never
+        visited.  The reduction keeps one slice qs[a:ke] of them, and the
+        budget ends the walk at the first candidate it does not reach,
+        recomputed after each descent.  Each candidate walked is one call to
+        the exact check, on the node's own table, with the node_filter bits
+        as `ends`.  The table gets the candidate's pair only for a descent.
+
+        The node's counts follow from positions: for the first `reach`
+        candidates, of which below[reach] are open, the conflicts are the
+        rest, the open ones outside the kept slice are sym skips, and those
+        inside that were not accepted are girth rejects.  They are written
+        once, on return, and expansions also before each descent, since the
+        budget below reads it; so a breach or a halt leaves the kernel's
+        counters exact.
+        """
+        offs = self.offsets
+        if key == self.full:
             self.leaves += 1
             if self.collect != "none":
                 self.witnesses.append(tuple(offs))
                 if self.collect == "first":
                     self.stop = True
             return
-        j = offs.index(-1)
-        self._try_values(j, self.choices[j], node_filter(self.n, self.b2, offs, j, self.g))
-
-    def _try_values(self, j: int, choices, ends: int):
-        """Try each candidate (d, t, q) of `choices` at frontier j, descending into accepted ones.
-
-        choices are ascending consecutive odd offsets d, each with the
-        partner class t and the far end q it forces, so d's index in choices
-        is (d - d0) // 2, where d0 is the first, and trying d makes the
-        node's expansions that index plus one.  ends is the node's
-        node_filter: bit q rejects candidate d.
-
-        Every candidate that is neither a conflict nor a symmetry skip calls
-        the predicate once, even when `ends` already decides it; the tier-1
-        tests and the benchmark's traced self-check both count those calls.
-        The node's counts live in locals and are written back to the kernel
-        before each descent and on every return, so a breach or a halt
-        leaves the kernel's counters exact.  A partner class is never j,
-        since every offset is odd, so offs[j] is cleared once, on return.
-        """
-        offs = self.offsets
         n = self.n
         b2 = self.b2
         g = self.g
+        j = (~key & (key + 1)).bit_length() - 1
+        qs, below = self.open_lists[key]
+        ends = node_filter(n, b2, offs, j, g)
         predicate = chord_cycle_shorter_than  # looked up per node, so a wrapper sees it
-        d0 = choices[0][0]
-        base = self.expansions  # the kernel's expansions before d0
-        budget = self.budget
-        # the least offset the budget does not reach
-        d_stop = n if budget is None else d0 + 2 * (budget - base)
-        reduction = self.reduction
-        if reduction:
+        width = len(below) - 1  # the node's candidates; d of index i is 2i + 3
+        a, ke = 0, len(qs)
+        if self.reduction:
             # one position of each pair is even; keep the first offset minimal:
-            # skip d unless its even-position value, d or n - d, is >= offs[0]
+            # skip d unless its even-position value, d or n - d, is >= offs[0],
+            # so keep d <= n - offs[0] at an odd j and d >= offs[0] at an even one
             first = offs[0]
-            lo, hi = (first, n) if j % 2 == 0 else (0, n - first)
-        conflicts = rejects = skips = 0
-        tried = len(choices)
-        for d, t, q in choices:
-            if d >= d_stop:
-                self.breached = True
-                self.stop = True
-                tried = (d - d0) // 2
+            if j & 1:
+                ke = below[(n - first - 1) >> 1]
+            else:
+                a = below[(first - 3) >> 1]
+        base = self.expansions  # the kernel's expansions before this node's first
+        budget = self.budget
+        # the node's candidates the budget reaches, in ascending offset
+        reach = width if budget is None else min(width, budget - base)
+        e = min(ke, below[reach])
+        accepted = 0
+        p = a
+        while True:
+            for q in qs[p:e]:
+                if not predicate(n, b2, offs, j, g, ends, q):
+                    break
+            else:
                 break
-            if offs[t] >= 0:
-                conflicts += 1
-                continue
-            if reduction and not lo <= d <= hi:
-                skips += 1
-                continue
+            d = (q - j) % n
+            i = (d - 3) >> 1  # d's index among the candidates
+            p = below[i] + 1
+            accepted += 1
+            self.expansions = base + i + 1
+            t = q % b2
             offs[j] = d
             offs[t] = n - d
-            if predicate(n, b2, offs, j, g, ends, q):
-                rejects += 1
-                offs[t] = -1
-                continue
-            i = (d - d0) // 2  # d's index in choices
-            self.expansions = base + i + 1
-            self.conflicts += conflicts
-            self.girth_rejects += rejects
-            self.sym_skips += skips
-            conflicts = rejects = skips = 0
-            self.nodes += 1
-            self._descend()
-            offs[t] = -1
-            if self.stop:
-                offs[j] = -1
-                return
+            self._try_values(key | 1 << j | 1 << t)
+            offs[j] = offs[t] = -1
             base = self.expansions - i - 1  # the descent's expansions included
+            if self.stop:
+                reach = i + 1
+                break
             if budget is not None:
-                d_stop = d0 + 2 * (budget - base)
-        offs[j] = -1
-        self.expansions = base + tried
-        self.conflicts += conflicts
-        self.girth_rejects += rejects
-        self.sym_skips += skips
+                reach = min(width, budget - base)
+                e = min(ke, below[reach])
+        opened = below[reach]
+        kept = max(0, min(opened, ke) - a)
+        self.expansions = base + reach
+        self.conflicts += reach - opened
+        self.sym_skips += opened - kept
+        self.girth_rejects += kept - accepted
+        self.nodes += accepted
+        if reach < width and not self.stop:
+            self.breached = self.stop = True
 
 
 @dataclass

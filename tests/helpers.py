@@ -2,10 +2,11 @@
 
 The brute-force survey is the unpruned reference the search kernel is
 tested against; random patterns feed the property tests.  The edge-removal
-girth is a reference for the oracle's BFS on arbitrary simple graphs, and
-the per-vertex distance BFS one for the kernel's bit-set BFS.  girth_fast
-runs the oracle's BFS from the 2b class representatives only, the shortcut
-has_girth_at_least takes.
+girth is a reference for the oracle's BFS on arbitrary simple graphs, the
+per-vertex distance BFS one for the kernel's bit-set BFS, and root_events,
+a plain per-candidate loop, one for the kernel's walk over positions.
+girth_fast runs the oracle's BFS from the 2b class representatives only,
+the shortcut has_girth_at_least takes.
 Pattern transforms (the canonical group of `canonical_form`) and
 search-prefix replay build the inputs of the symmetry and predicate tests.
 `write_golden` rewrites a golden data file and says what it changed.
@@ -16,7 +17,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from hbgsearch.girth import GirthResult, _shortest_cycle, girth_oracle
+from hbgsearch.girth import GirthResult, _shortest_cycle, girth_oracle, has_girth_at_least
 from hbgsearch.pattern import (
     DivisibilityError,
     OffsetPattern,
@@ -191,6 +192,50 @@ def distances_within(n: int, b2: int, offsets: list[int], root: int, depth: int)
                 dist[v] = du + 1
                 reached.append(v)
     return dist
+
+
+def root_events(n: int, b: int, g: int, root: int, reduction: bool, collect: str) -> list[tuple]:
+    """Every expansion below one root value, in the kernel's order, by a plain loop.
+
+    One event per expansion: (kind, depth, leaf), where kind is "conflict",
+    "skip", "reject" or "node", depth is the number of pairs set at the node
+    that tried it, and leaf is the complete table a "node" event makes, or
+    None.  At each node every candidate d, in ascending order, is a
+    conflict when its partner class is taken, else a sym skip when the
+    reduction drops it, else a reject when has_girth_at_least fails on the
+    child's table; the others are searched depth first.  With collect
+    "first" the events end at the first leaf.
+    """
+    b2 = 2 * b
+    offs = [-1] * b2
+    events = []
+
+    def visit(depth, values):  # True once the first witness halts the search
+        j = offs.index(-1)
+        for d in values:
+            t = (j + d) % b2
+            if offs[t] >= 0:
+                events.append(("conflict", depth, None))
+                continue
+            if reduction and not (d >= offs[0] if j % 2 == 0 else d <= n - offs[0]):
+                events.append(("skip", depth, None))
+                continue
+            offs[j], offs[t] = d, n - d
+            if not has_girth_at_least(n, b2, offs, g):
+                events.append(("reject", depth, None))
+            elif -1 in offs:
+                events.append(("node", depth, None))
+                if visit(depth + 1, candidate_values(n)):
+                    return True
+            else:
+                events.append(("node", depth, tuple(offs)))
+                if collect == "first":
+                    return True
+            offs[j] = offs[t] = -1
+        return False
+
+    visit(0, [root])
+    return events
 
 
 @dataclass(frozen=True)

@@ -59,15 +59,21 @@ def random_node(rng, g, b, n):
 
 def kernel_decisions(monkeypatch, g, b, n, offs):
     """[(child offsets, rejected, by_marks)] for every predicate call at the node."""
+    b2 = 2 * b
     j = offs.index(-1)
     calls = []
 
-    def record(n_, b2, offsets, rep, g_, ends, q):
+    def record(n_, b2_, offsets, rep, g_, ends, q):
         if rep != j:
             return True  # a grandchild: this test looks at one node only
-        assert q == (rep + offsets[rep % b2]) % n_
-        rejected = chord_cycle_shorter_than(n_, b2, offsets, rep, g_, ends, q)
-        calls.append((list(offsets), rejected, bool(ends >> q & 1)))
+        # the exact check reads the node's own table, not the child's
+        assert offsets == offs and offsets[rep] < 0 and offsets[q % b2_] < 0
+        rejected = chord_cycle_shorter_than(n_, b2_, offsets, rep, g_, ends, q)
+        assert offsets == offs  # and leaves it as it is
+        d = (q - rep) % n_
+        child = list(offsets)
+        child[rep], child[q % b2_] = d, n_ - d
+        calls.append((child, rejected, bool(ends >> q & 1)))
         return rejected
 
     monkeypatch.setattr(search, "chord_cycle_shorter_than", record)
@@ -76,8 +82,8 @@ def kernel_decisions(monkeypatch, g, b, n, offs):
     for counter in ("expansions", "conflicts", "girth_rejects", "sym_skips", "nodes", "leaves"):
         setattr(kern, counter, 0)
     kern.witnesses, kern.breached, kern.stop, kern.budget = [], False, False, None
-    kern._descend()
-    assert len(calls) == sum(offs[(j + d) % (2 * b)] < 0 for d in candidate_values(n))
+    kern._try_values(sum(1 << c for c in range(b2) if offs[c] >= 0))
+    assert len(calls) == sum(offs[(j + d) % b2] < 0 for d in candidate_values(n))
     return calls
 
 
@@ -122,10 +128,10 @@ def search_nodes(g, b, n, rng, limit):
             t = (j + d) % b2
             if offs[t] >= 0:
                 continue
-            offs[j], offs[t] = d, n - d
             if not chord_cycle_shorter_than(n, b2, offs, j, g, 0, (j + d) % n):
+                offs[j], offs[t] = d, n - d
                 go()
-            offs[j] = offs[t] = -1
+                offs[j] = offs[t] = -1
 
     go()
     return nodes
@@ -151,9 +157,7 @@ def test_every_marked_far_end_is_rejected_by_the_exact_bfs(g, b, n):
                 d, t = (q - j) % n, q % b2
                 if not ends >> q & 1 or d not in cand or offs[t] >= 0:
                     continue
-                child = list(offs)
-                child[j], child[t] = d, n - d
-                assert chord_cycle_shorter_than(n, b2, child, j, g, 0, q), (rule, child)
+                assert chord_cycle_shorter_than(n, b2, offs, j, g, 0, q), (rule, offs, d)
                 marked[rule] += 1
     assert marked["layer 1"] > 0, marked
 
@@ -254,9 +258,11 @@ def test_exact_check_alone_equals_the_reference_predicate(g, b, n):
             t = (j + d) % b2
             if offs[t] >= 0:
                 continue
+            node = list(offs)
+            short = chord_cycle_shorter_than(n, b2, offs, j, g, 0, (j + d) % n)
+            assert offs == node  # the exact check leaves the node's table as it is
             child = list(offs)
             child[j], child[t] = d, n - d
-            short = chord_cycle_shorter_than(n, b2, child, j, g, 0, (j + d) % n)
             assert short != has_girth_at_least(n, b2, child, g)
             decided[short] += 1
     assert min(decided.values()) > 0, decided

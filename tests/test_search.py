@@ -28,7 +28,7 @@ from hbgsearch.search import (
     root_values,
 )
 
-from helpers import brute_force_canonical_witnesses, brute_force_survey
+from helpers import brute_force_canonical_witnesses, brute_force_survey, root_events
 
 
 def spec_for(g, b, orders, mode="all", **kw):
@@ -609,6 +609,54 @@ def test_every_node_budget_leaves_exact_kernel_counters(g, b, order, reduction, 
                               - kern.sym_skips), k
         assert calls == kern.expansions - kern.conflicts - kern.sym_skips, k
         assert kern.offsets == [-1] * (2 * b), k
+
+
+def test_every_node_budget_leaves_the_reference_prefix():
+    """run_root with node budget k leaves the counters, witnesses, breach and
+    halt of the first k expansions of a plain per-candidate loop, for every
+    k up to one past the root's size, and every offset unset."""
+    seen = {"conflict": 0, "skip": 0, "after a descent": 0, "halt in a descent": 0}
+    for g, b, n, root, reduction, collect in [
+        (10, 4, 80, 45, False, "first"), (10, 4, 80, 45, False, "all"),
+        (10, 4, 80, 11, True, "first"), (10, 4, 80, 11, True, "all"),
+        (14, 3, 258, 13, False, "none"),
+    ]:
+        events = root_events(n, b, g, root, reduction, collect)
+        halts = collect == "first" and events[-1][2] is not None
+        seen["halt in a descent"] += halts and events[-1][1] > 0
+        kern = search._Kernel(n, b, g, reduction, collect)
+        for k in range(1, len(events) + 2):
+            kern.run_root(root, k)
+            done = events[:k]
+            kinds = [kind for kind, _, _ in done]
+            leaves = [leaf for _, _, leaf in done if leaf is not None]
+            case = (g, b, n, root, reduction, collect, k)
+            assert search._kernel_counts(kern) == (
+                len(done), kinds.count("conflict"), kinds.count("reject"),
+                kinds.count("skip"), kinds.count("node"), len(leaves)), case
+            assert kern.witnesses == (leaves if collect != "none" else []), case
+            assert kern.breached == (k < len(events)), case
+            assert kern.stop == (kern.breached or halts), case
+            assert kern.offsets == [-1] * (2 * b), case
+            if k < len(events):  # the expansion the budget stopped at
+                kind, depth, _ = events[k]
+                seen[kind] = seen.get(kind, 0) + 1
+                seen["after a descent"] += depth < events[k - 1][1]
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_pool_worker_builds_each_order_once(monkeypatch):
+    """The shards of one order share one set of kernel tables in a worker,
+    and their records are those of one in-process run over the whole span."""
+    monkeypatch.setattr(search, "_scan_over", None)  # restored after the test
+    search._start_worker(multiprocessing.Event())
+    spec = spec_for(14, 3, [258], mode="prove")
+    search._order_tables.cache_clear()
+    records = [run for rng in partition(spec, 258, 8)
+               for run in search._shard_worker((spec, 258, rng, _Budget(None)))]
+    assert search._order_tables.cache_info().misses == 1
+    assert records == list(search._root_runs(spec, 258, root_values(258, False),
+                                             _Budget(None)))
 
 
 @pytest.mark.parametrize("g, b, orders, mode", [
