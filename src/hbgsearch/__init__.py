@@ -39,7 +39,6 @@ from .search import (
     OrderOutcome,
     SearchOutcome,
     SearchSpec,
-    ShardRange,
     WitnessRecord,
     enumerate_order,
     enumerate_order_sharded,

@@ -41,9 +41,10 @@ from .search import (
     COUNTERS,
     MODES,
     ExhaustionCertificate,
-    ShardRange,
     certificate_defects,
-    root_span_defect,
+    range_defects,
+    root_span,
+    search_defect,
 )
 
 
@@ -92,13 +93,6 @@ def _words(*allowed: str) -> Callable[[str], str]:
             raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
         return value
     return parse
-
-
-def _odd_range(value: str) -> tuple[int, int]:
-    lo, hi = _ints(2)(value)
-    if lo > hi or lo % 2 == 0 or hi % 2 == 0:
-        raise ValueError(f"{lo}..{hi}: bounds must be odd, lo <= hi")
-    return lo, hi
 
 
 def _printable(line: str) -> bool:
@@ -387,7 +381,7 @@ def serialize_certificate(cert: ExhaustionCertificate) -> str:
     """Canonical byte form of a certificate."""
     return _write(_CERT, {
         **_search_fields(cert), "positions": 2 * cert.b, "pairs": cert.b,
-        "roots": (cert.root_lo, cert.root_hi), "covered": list(cert.covered),
+        "roots": root_span(cert.order, cert.reduction), "covered": list(cert.covered),
         "status": cert.status, "engine": cert.engine,
         **{key: getattr(cert, key.replace("-", "_")) for key in _COUNTERS},
     })
@@ -398,7 +392,6 @@ def parse_certificate(text: str, source: str = "<string>") -> ExhaustionCertific
     cert = ExhaustionCertificate(
         g=fields["g"], order=fields["n"], b=fields["b"], mode=fields["mode"],
         reduction=fields["reduction"] == "on",
-        root_lo=fields["roots"][0], root_hi=fields["roots"][1],
         covered=tuple(fields.get("covered", ())), status=fields["status"],
         engine=fields["engine"],
         **{key.replace("-", "_"): fields[key] for key in _COUNTERS},
@@ -406,9 +399,13 @@ def parse_certificate(text: str, source: str = "<string>") -> ExhaustionCertific
     if fields["positions"] != 2 * cert.b or fields["pairs"] != cert.b:
         key = "positions" if fields["positions"] != 2 * cert.b else "pairs"
         raise ParseError(source, line[key], "positions/pairs lines inconsistent with b")
-    span = root_span_defect(cert)
-    if span:
-        raise ParseError(source, line["roots"], span)
+    search = search_defect(cert.g, cert.b, cert.order, cert.mode)
+    if search:
+        raise ParseError(source, line["roots"], search)
+    (lo, hi), (span_lo, span_hi) = fields["roots"], root_span(cert.order, cert.reduction)
+    if (lo, hi) != (span_lo, span_hi):
+        raise ParseError(source, line["roots"], f"roots {lo} {hi} are not the root span "
+                                                f"{span_lo} {span_hi} of order {cert.order}")
     defects = certificate_defects(cert)
     if defects:
         raise ParseError(source, line[_COUNTERS[0]],
@@ -428,7 +425,12 @@ def write_certificate_file(path, cert: ExhaustionCertificate) -> None:
 
 @dataclass(frozen=True)
 class ResumeState:
-    """Pending first-position value ranges of one interrupted order."""
+    """The pending root ranges of one interrupted order, as (lo, hi) pairs.
+
+    parse_resume refuses a file at its `n` line unless it names a search,
+    and at its first `shard` line unless range_defects accepts the pending
+    ranges: odd, ascending, disjoint and inside the root span.
+    """
 
     g: int
     order: int
@@ -436,26 +438,33 @@ class ResumeState:
     mode: str
     reduction: bool
     node_budget: int | None
-    pending: tuple[ShardRange, ...]
+    pending: tuple[tuple[int, int], ...]
 
 
 _RESUME = _Format("HBG-RESUME 1", keys=_SEARCH_KEYS + (
-    ("node-budget", _count, "?"), ("shard", _odd_range, "+"),
+    ("node-budget", _count, "?"), ("shard", _ints(2), "+"),
 ))
 
 
 def serialize_resume(state: ResumeState) -> str:
     return _write(_RESUME, {**_search_fields(state), "node-budget": state.node_budget,
-                            "shard": [(rng.lo, rng.hi) for rng in state.pending]})
+                            "shard": list(state.pending)})
 
 
 def parse_resume(text: str, source: str = "<string>") -> ResumeState:
-    fields, _ = _read(_RESUME, text, source)
-    return ResumeState(
+    fields, line = _read(_RESUME, text, source)
+    state = ResumeState(
         g=fields["g"], order=fields["n"], b=fields["b"], mode=fields["mode"],
         reduction=fields["reduction"] == "on", node_budget=fields.get("node-budget"),
-        pending=tuple(ShardRange(lo, hi) for lo, hi in fields["shard"]),
+        pending=tuple(fields["shard"]),
     )
+    search = search_defect(state.g, state.b, state.order, state.mode)
+    if search:
+        raise ParseError(source, line["n"], search)
+    defects = range_defects(state.pending, state.order, state.reduction)
+    if defects:
+        raise ParseError(source, line["shard"], "; ".join(defects))
+    return state
 
 
 def parse_resume_file(path) -> ResumeState:

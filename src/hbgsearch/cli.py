@@ -48,7 +48,6 @@ from .search import (
     merge_certificates,
     min_order,
     normalize_mode,
-    root_values,
 )
 
 EXIT_OK = 0
@@ -276,22 +275,20 @@ def _run_resume(args) -> int:
     budget = args.node_budget if args.node_budget is not None else state.node_budget
     out_dir = args.out or os.path.dirname(os.path.abspath(args.resume))
     cert_path = _cert_path(out_dir, state.g, state.order, state.b)
+    spec = SearchSpec(g=state.g, b=state.b, orders=(state.order,), mode=state.mode,
+                      node_budget=budget, wall_budget_s=args.wall_budget,
+                      reduction=state.reduction)
     try:
-        spec = SearchSpec(g=state.g, b=state.b, orders=(state.order,), mode=state.mode,
-                          node_budget=budget, wall_budget_s=args.wall_budget,
-                          reduction=state.reduction)
         prior = parse_certificate_file(cert_path) if os.path.exists(cert_path) else None
         if prior is not None:
             # refuse a stale resume file or a certificate of another search
             # before enumerating: merge the prior with an empty run of the
             # pending ranges
-            roots = root_values(state.order, state.reduction)
             merge_certificates([prior, ExhaustionCertificate(
                 g=state.g, order=state.order, b=state.b, mode=state.mode,
-                reduction=state.reduction, root_lo=roots[0], root_hi=roots[-1],
-                covered=tuple((rng.lo, rng.hi) for rng in state.pending), status="complete",
+                reduction=state.reduction, covered=state.pending, status="complete",
                 **dict.fromkeys(COUNTERS, 0))])
-    except ValueError as exc:  # ParseError, PatternError and a refused merge
+    except ValueError as exc:  # ParseError and a refused merge
         _eprint(f"error: {exc}; {cert_path} left unchanged")
         return EXIT_ERROR
     os.makedirs(out_dir, exist_ok=True)
@@ -299,17 +296,12 @@ def _run_resume(args) -> int:
         _eprint(f"resuming g={spec.g} n={state.order} b={spec.b}: "
                 f"{len(state.pending)} pending range(s)")
     progress = _progress_printer() if args.progress else None
-    try:
-        oc = enumerate_order(spec, state.order, ranges=list(state.pending),
-                             progress=progress)
-    except ValueError as exc:  # pending ranges outside the root span
-        _eprint(f"error: {exc}; {cert_path} left unchanged")
-        return EXIT_ERROR
+    oc = enumerate_order(spec, state.order, ranges=list(state.pending), progress=progress)
     cert = oc.certificate if prior is None else merge_certificates([prior, oc.certificate])
     if oc.pending and not oc.certificate.covered:
         limit = (f"--node-budget {spec.node_budget}" if spec.node_budget is not None
                  else f"--wall-budget {spec.wall_budget_s}")
-        _eprint(f"no progress: order {state.order} root {oc.pending[0].lo} "
+        _eprint(f"no progress: order {state.order} root {oc.pending[0][0]} "
                 f"needs more than {limit}")
     oc = OrderOutcome(order=oc.order, status=outcome_status(oc.witnesses, cert),
                       witnesses=oc.witnesses, certificate=cert, pending=oc.pending)

@@ -102,16 +102,12 @@ class SearchSpec:
 
 
 @dataclass(frozen=True)
-class ShardRange:
-    """Inclusive range of first-position offset values (all odd)."""
-
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True)
 class ExhaustionCertificate:
     """Machine-checkable record of an enumeration run over root ranges.
+
+    A root range is an inclusive (lo, hi) pair of odd root values; covered
+    lists the ranges the counters describe, ascending and disjoint.  The
+    root span is not stored: root_span derives it from order and reduction.
 
     Counter semantics: expansions counts every candidate value tried at any
     node; conflicts are candidates whose forced partner position was already
@@ -131,8 +127,6 @@ class ExhaustionCertificate:
     b: int
     mode: str
     reduction: bool
-    root_lo: int
-    root_hi: int
     covered: tuple[tuple[int, int], ...]
     status: str
     expansions: int
@@ -144,43 +138,45 @@ class ExhaustionCertificate:
     engine: str = ENGINE_TAG
 
     def covers_order(self) -> bool:
-        return self.status == "complete" and self.covered == ((self.root_lo, self.root_hi),)
+        return (self.status == "complete"
+                and self.covered == (root_span(self.order, self.reduction),))
 
 
 # the certificate's counters, in file order; they merge by summation
 COUNTERS = ("expansions", "conflicts", "girth_rejects", "sym_skips", "nodes", "leaves")
 
 
-def root_span_defect(cert: ExhaustionCertificate) -> str | None:
-    """Why cert's roots are not the root span of the search it names, or None."""
+def search_defect(g: int, b: int, order: int, mode: str) -> str | None:
+    """Why (g, b, order, mode) names no search, or None."""
     try:
-        SearchSpec(cert.g, cert.b, (cert.order,), cert.mode)
+        SearchSpec(g, b, (order,), mode)
     except ValueError as exc:
         return f"no such search: {exc}"
-    roots = root_values(cert.order, cert.reduction)
-    if (cert.root_lo, cert.root_hi) != (roots[0], roots[-1]):
-        return (f"roots {cert.root_lo} {cert.root_hi} are not the root span "
-                f"{roots[0]} {roots[-1]} of order {cert.order}")
     return None
+
+
+def range_defects(ranges, order: int, reduction: bool) -> list[str]:
+    """Why `ranges`, (lo, hi) pairs, are not odd root ranges of the order,
+    ascending, disjoint and inside its root span; empty when they are."""
+    span_lo, span_hi = root_span(order, reduction)
+    defects = [f"root range {lo}..{hi} not odd or outside span {span_lo}..{span_hi}"
+               for lo, hi in ranges
+               if not (span_lo <= lo <= hi <= span_hi and lo % 2 == hi % 2 == 1)]
+    defects += [f"root ranges {lo}..{hi} and {lo2}..{hi2} overlap or are out of order"
+                for (lo, hi), (lo2, hi2) in itertools.pairwise(ranges) if lo2 <= hi]
+    return defects
 
 
 def certificate_defects(cert: ExhaustionCertificate) -> list[str]:
     """Internal consistency checks for a certificate."""
-    span = root_span_defect(cert)
-    defects = [span] if span else []
+    search = search_defect(cert.g, cert.b, cert.order, cert.mode)
+    defects = [search] if search else range_defects(cert.covered, cert.order, cert.reduction)
     if cert.nodes != cert.expansions - cert.conflicts - cert.girth_rejects - cert.sym_skips:
         defects.append("nodes != expansions - conflicts - girth_rejects - sym_skips")
     if cert.leaves > cert.nodes:
         defects.append("more leaves than visited nodes")
     if any(getattr(cert, key) < 0 for key in COUNTERS):
         defects.append("negative counter")
-    last = None
-    for lo, hi in cert.covered:
-        if lo > hi or lo < cert.root_lo or hi > cert.root_hi or lo % 2 == 0 or hi % 2 == 0:
-            defects.append(f"covered range {lo}..{hi} outside root span or not odd")
-        if last is not None and lo <= last:
-            defects.append("covered ranges not ascending/disjoint")
-        last = hi
     if cert.status not in ("complete", "budget-exceeded", "halted-witness"):
         defects.append(f"unknown status {cert.status!r}")
     return defects
@@ -200,7 +196,7 @@ class OrderOutcome:
     status: str  # "witness" | "exhausted" | "undecided"
     witnesses: tuple[WitnessRecord, ...]
     certificate: ExhaustionCertificate
-    pending: tuple[ShardRange, ...] = ()
+    pending: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -215,13 +211,18 @@ def candidate_values(order: int) -> list[int]:
     return list(range(3, order - 2, 2))
 
 
+def root_span(order: int, reduction: bool) -> tuple[int, int]:
+    """The least and greatest first-position candidate, (lo, hi); every odd
+    value between them is one.  The reflection orbit halves them when
+    reducing, keeping the values up to m = order / 2."""
+    hi = order // 2 if reduction else order - 3
+    return 3, hi if hi % 2 else hi - 1
+
+
 def root_values(order: int, reduction: bool) -> list[int]:
-    """First-position candidates; the reflection orbit halves them when reducing."""
-    cand = candidate_values(order)
-    if reduction:
-        m = order // 2
-        return [d for d in cand if d <= m]
-    return cand
+    """First-position candidates, the odd values of root_span."""
+    lo, hi = root_span(order, reduction)
+    return list(range(lo, hi + 1, 2))
 
 
 class _OpenLists(dict):
@@ -483,14 +484,16 @@ def _root_runs(spec: SearchSpec, order: int, roots, budget: _Budget):
 def enumerate_order(
     spec: SearchSpec,
     order: int,
-    ranges: list[ShardRange] | None = None,
+    ranges: list[tuple[int, int]] | None = None,
     budget: _Budget | None = None,
     progress=None,
     runs=None,
 ) -> OrderOutcome:
-    """Enumerate all patterns of one order within the given root ranges.
+    """Enumerate all patterns of one of the spec's orders within root ranges.
 
-    With ranges=None the full first-position value span is searched.  The
+    Ranges are (lo, hi) pairs that range_defects accepts, odd, ascending,
+    disjoint and inside the root span; ranges=None is the whole span.  An
+    order the spec does not name, or any other ranges, is a ValueError.  The
     returned certificate records exactly the covered ranges; on a budget or
     wall-clock breach the unfinished root values are reported as pending and
     the (deterministic) counters describe only fully completed roots.  The
@@ -511,31 +514,24 @@ def enumerate_order(
     roots_total, expansions_so_far) after each completed root subtree.
     """
     if order not in spec.orders:
-        spec = replace(spec, orders=tuple(sorted(set(spec.orders) | {order})))
-    roots = root_values(order, spec.reduction)
-    span_lo, span_hi = roots[0], roots[-1]
+        raise ValueError(f"order {order} is not one of the spec's orders {spec.orders}")
     if ranges is None:
-        ranges = [ShardRange(span_lo, span_hi)]
-    last_hi = None
-    for rng in ranges:
-        if rng.lo > rng.hi or rng.lo < span_lo or rng.hi > span_hi or rng.lo % 2 == 0:
-            raise ValueError(f"root range {rng.lo}..{rng.hi} not odd or outside span "
-                             f"{span_lo}..{span_hi}")
-        if last_hi is not None and rng.lo <= last_hi:
-            raise ValueError("root ranges must be ascending and disjoint")
-        last_hi = rng.hi
+        ranges = [root_span(order, spec.reduction)]
+    defects = range_defects(ranges, order, spec.reduction)
+    if defects:
+        raise ValueError("; ".join(defects))
     if budget is None:
         budget = _Budget.of(spec)
 
     totals = [0] * len(COUNTERS)
     covered: list[tuple[int, int]] = []
-    pending: list[ShardRange] = []
+    pending: list[tuple[int, int]] = []
     raw_leaves: list[tuple[int, ...]] = []
     status = "complete"
-    wanted = [d for rng in ranges for d in roots if rng.lo <= d <= rng.hi]
+    wanted = [d for lo, hi in ranges for d in range(lo, hi + 1, 2)]
     if spec.g > order:
         # the Hamiltonian cycle itself is shorter than g: nothing to search
-        covered, wanted = [(rng.lo, rng.hi) for rng in ranges], []
+        covered, wanted = list(ranges), []
     if runs is None:
         runs = _root_runs(spec, order, wanted, replace(budget))
     done = 0  # the roots counted are wanted[:done]
@@ -545,7 +541,7 @@ def enumerate_order(
         if (ran != root or breached
                 or (budget.remaining is not None and counts[0] > budget.remaining)):
             status = "budget-exceeded"
-            pending = [ShardRange(max(rng.lo, root), rng.hi) for rng in ranges if rng.hi >= root]
+            pending = [(max(lo, root), hi) for lo, hi in ranges if hi >= root]
             break
         totals = list(map(operator.add, totals, counts))
         budget.consume(counts[0])
@@ -557,13 +553,13 @@ def enumerate_order(
             break
         done += 1
     if done:
-        # every odd value in the span is a root, so rng.lo is its range's first root
+        # every odd value in the span is a root, so lo is its range's first root
         last = wanted[done - 1]
-        covered = [(rng.lo, min(rng.hi, last)) for rng in ranges if rng.lo <= last]
+        covered = [(lo, min(hi, last)) for lo, hi in ranges if lo <= last]
 
     cert = ExhaustionCertificate(
         g=spec.g, order=order, b=spec.b, mode=spec.mode, reduction=spec.reduction,
-        root_lo=span_lo, root_hi=span_hi, covered=_coalesce(covered), status=status,
+        covered=_coalesce(covered), status=status,
         **dict(zip(COUNTERS, totals)),
     )
     witnesses = _witness_records(spec, order, raw_leaves)
@@ -580,12 +576,13 @@ def outcome_status(witnesses, cert: ExhaustionCertificate) -> str:
     return "undecided"
 
 
-def partition(spec: SearchSpec, order: int, shards: int) -> list[ShardRange]:
-    """Split the first-position value range into near-equal contiguous chunks.
+def partition(spec: SearchSpec, order: int, shards: int) -> list[tuple[int, int]]:
+    """Split the root span into near-equal contiguous (lo, hi) ranges, at
+    most one per root.
 
     The union of the shard searches visits exactly the nodes of the
     single-shard search, so merged certificates are independent of the shard
-    count.  Empty chunks are dropped when shards exceed the root count.
+    count.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -597,10 +594,8 @@ def partition(spec: SearchSpec, order: int, shards: int) -> list[ShardRange]:
     at = 0
     for s in range(shards):
         size = base + (1 if s < extra else 0)
-        if size == 0:
-            continue
         chunk = roots[at:at + size]
-        out.append(ShardRange(chunk[0], chunk[-1]))
+        out.append((chunk[0], chunk[-1]))
         at += size
     return out
 
@@ -611,19 +606,17 @@ def merge_certificates(certs: list[ExhaustionCertificate]) -> ExhaustionCertific
         raise ValueError("nothing to merge")
     base = certs[0]
     for c in certs:
-        if (c.g, c.order, c.b, c.mode, c.reduction, c.root_lo, c.root_hi, c.engine) != (
-                base.g, base.order, base.b, base.mode, base.reduction,
-                base.root_lo, base.root_hi, base.engine):
+        if (c.g, c.order, c.b, c.mode, c.reduction, c.engine) != (
+                base.g, base.order, base.b, base.mode, base.reduction, base.engine):
             raise ValueError("certificates describe different searches or engines; "
                              "refusing to merge")
-    seen_hi = None
-    for lo, hi in sorted(r for c in certs for r in c.covered):
-        if seen_hi is not None and lo <= seen_hi:
-            raise ValueError(f"certificates overlap at root value {lo}; refusing to merge")
-        seen_hi = hi
-    covered = _coalesce([r for c in certs for r in c.covered])
+    ranges = sorted(r for c in certs for r in c.covered)
+    defects = range_defects(ranges, base.order, base.reduction)
+    if defects:
+        raise ValueError(f"{defects[0]}; refusing to merge")
+    covered = _coalesce(ranges)
     statuses = {c.status for c in certs}
-    if covered == ((base.root_lo, base.root_hi),):
+    if covered == (root_span(base.order, base.reduction),):
         # counters always describe exactly the covered roots, so full
         # coverage after merging (e.g. stitching a resumed run onto a
         # breached one) is a completed enumeration
@@ -638,7 +631,7 @@ def merge_certificates(certs: list[ExhaustionCertificate]) -> ExhaustionCertific
         status = "complete"
     return ExhaustionCertificate(
         g=base.g, order=base.order, b=base.b, mode=base.mode, reduction=base.reduction,
-        root_lo=base.root_lo, root_hi=base.root_hi, covered=covered, status=status,
+        covered=covered, status=status,
         **{key: sum(getattr(c, key) for c in certs) for key in COUNTERS},
     )
 
@@ -662,13 +655,12 @@ def _start_worker(scan_over):
 def _shard_worker(payload) -> list[tuple]:
     """Run one shard's roots ahead of the scan, on the shard's copy of the budget;
     once the scan is over, run no further root."""
-    spec, order, rng, budget = payload
-    roots = (d for d in root_values(order, spec.reduction)
-             if rng.lo <= d <= rng.hi and not _scan_over.is_set())
+    spec, order, (lo, hi), budget = payload
+    roots = (d for d in range(lo, hi + 1, 2) if not _scan_over.is_set())
     return list(_root_runs(spec, order, roots, budget))
 
 
-def _pool_ranges(spec: SearchSpec, order: int, shards: int) -> list[ShardRange]:
+def _pool_ranges(spec: SearchSpec, order: int, shards: int) -> list[tuple[int, int]]:
     """The shards an order sends to a pool: none unless its roots are searched
     and split into more than one range."""
     ranges = partition(spec, order, shards)

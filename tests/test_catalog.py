@@ -28,7 +28,6 @@ from hbgsearch.catalog import (
     serialize_certificate,
     serialize_resume,
 )
-from hbgsearch.search import ShardRange
 
 HEAWOOD_FILE = "HBG 1\ng 6\nn 14\nb 1\noffsets 5 9\n"
 
@@ -216,7 +215,7 @@ class TestResumeFormat:
     def test_round_trip(self):
         state = ResumeState(g=14, order=266, b=7, mode="prove-nonexistence",
                             reduction=False, node_budget=200000,
-                            pending=(ShardRange(13, 131), ShardRange(175, 263)))
+                            pending=((13, 131), (175, 263)))
         text = serialize_resume(state)
         assert text.splitlines()[0] == "HBG-RESUME 1"
         assert parse_resume(text) == state
@@ -264,6 +263,12 @@ class TestBoundsTable:
         inputs = {3: BoundsInput(exhausted=frozenset(range(258, 385, 6)))}
         (row,) = bounds_table(14, [3], None, inputs)
         assert (row.proven_lower, row.upper, row.status) == (390, None, "not-exist")
+
+    def test_lb_improved_row(self):
+        # exhaustion raised the lower bound, and the least witness lies above it
+        inputs = {3: BoundsInput(exhausted=frozenset({258, 264}), uppers=((384, False, "x"),))}
+        (row,) = bounds_table(14, [3], None, inputs)
+        assert (row.lb, row.proven_lower, row.upper, row.status) == (258, 270, 384, "lb-improved")
 
     def test_empty_row_is_open(self):
         (row,) = bounds_table(14, [5], None, {})

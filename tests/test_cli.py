@@ -248,6 +248,26 @@ class TestTableReportCommands:
         assert "row 1 14 14 14 verified resolved" in out
         assert "row 2 16 16 16 claimed resolved-claimed" in out
 
+    @pytest.mark.parametrize("argv, lines", [
+        # an ascending --sym range names every factor in it
+        (("table", "--girth", "6", "--sym", "1-3", "--format", "kv"),
+         ["table bounds", "g 6", "row 1 14 14 14 verified resolved", "row 2 16 16 - - open",
+          "row 3 18 18 - - open"]),
+        (("report", "--girth", "6", "--sym", "2"),
+         ["(3, 6) HBG non-existence by symmetry factor", "b=2: 8, 12"]),
+        (("report", "--girth", "6", "--format", "kv"),
+         ["report non-existence", "g 6", "nonexistent 1 6 8 10 12", "nonexistent 2 8 12"]),
+        # the g=6 certificates are not read as g=8 evidence
+        (("report", "--girth", "8"),
+         ["(3, 8) HBG non-existence by symmetry factor", "(no certified orders)"]),
+    ], ids=["table-sym-range", "report-sym", "report-kv", "report-other-girth"])
+    def test_sym_filter_and_format(self, heawood_run, argv, lines, capsys):
+        out_dir, _ = heawood_run
+        run_cli("search", "--girth", "6", "--sym", "2", "--min", "8", "--max", "12",
+                "--mode", "prove", "--out", str(out_dir), "--quiet", capsys=capsys)
+        code, out, err = run_cli(*argv, "--dir", str(out_dir), capsys=capsys)
+        assert code == 0 and out.splitlines() == lines
+
     def test_claims_bound_overrides_the_floor(self, tmp_path, capsys):
         claims = tmp_path / "claims.txt"
         claims.write_text("HBG-CLAIMS 1\ng 6\nbound 20\n", encoding="ascii")

@@ -26,7 +26,6 @@ from hbgsearch.catalog import (
     serialize_witness,
 )
 from hbgsearch.cli import main
-from hbgsearch.search import ShardRange
 
 WITNESS = serialize_witness(CatalogEntry(g=6, order=14, b=1, offsets=(5, 9),
                                          note="found by search, measured girth 6"))
@@ -34,7 +33,7 @@ CERT = serialize_certificate(
     enumerate_order(SearchSpec(g=6, b=1, orders=(14,), mode="all"), 14).certificate)
 RESUME = serialize_resume(ResumeState(
     g=14, order=266, b=7, mode="prove-nonexistence", reduction=False, node_budget=200000,
-    pending=(ShardRange(13, 131), ShardRange(175, 263))))
+    pending=((13, 131), (175, 263))))
 CLAIMS = ("HBG-CLAIMS 1\ng 14\nexhausted 4 264\nexhausted 4 272\nupper 4 440 catalog fig\n"
           "bound 258\n")
 
@@ -211,6 +210,14 @@ def test_writer_refuses_what_the_reader_refuses():
 UTF8_WITNESS = WITNESS.replace("found by search", "trouvé").encode("utf-8")
 BAD_CERT = CERT.replace("roots 3 11", "roots 3 x").encode("ascii")
 BAD_RESUME = RESUME.replace("shard 13 131", "shard 13 1_31").encode("ascii")
+# a resume file names a search that exists, and shards that are odd,
+# ascending, disjoint and inside its root span 3..263
+RESUME_EDITS = {
+    "out-of-span": ("shard 13 131", "shard 13 999", 8),
+    "unordered": ("shard 13 131\nshard 175 263", "shard 175 263\nshard 13 131", 8),
+    "overlapping": ("shard 175 263", "shard 101 263", 8),
+    "no-such-search": ("n 266", "n 268", 3),  # b=7 does not divide m=134
+}
 BAD_CLAIMS = CLAIMS.replace("upper 4 440", "upper 4 y").encode("ascii")
 BAD_BOUND = b"HBG-CLAIMS 1\ng 6\nbound 1_4\n"
 
@@ -224,12 +231,15 @@ BAD_BOUND = b"HBG-CLAIMS 1\ng 6\nbound 1_4\n"
     (["table", "--girth", "6", "--dir", "{d}", "--sym", "1", "--claims", "{c}"],
      {"c": BAD_BOUND}, "c", 3, 1),
     (["search", "--resume", "{r}"], {"r": BAD_RESUME}, "r", 8, 1),
+    *((["search", "--resume", "{r}"], {"r": RESUME.replace(old, new).encode("ascii")}, "r",
+       lineno, 1) for old, new, lineno in RESUME_EDITS.values()),
     # a malformed evidence file in a scanned directory fails the command
     (["report", "--girth", "6", "--dir", "{d}"], {"x.cert": BAD_CERT}, "x.cert", 9, 1),
     (["table", "--girth", "6", "--dir", "{d}", "--sym", "1"], {"x.hbg": UTF8_WITNESS},
      "x.hbg", 6, 1),
 ], ids=["verify", "render", "girth", "canon", "table-claims", "table-claims-bound",
-        "search-resume", "report-dir", "table-dir"])
+        "search-resume", *(f"search-resume-{name}" for name in RESUME_EDITS),
+        "report-dir", "table-dir"])
 def test_command_on_malformed_file_names_file_and_line(argv, files, bad, lineno, code,
                                                        tmp_path, capsys):
     paths = {key: tmp_path / key for key in files}

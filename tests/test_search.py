@@ -20,7 +20,6 @@ from hbgsearch import (
 )
 from hbgsearch import search
 from hbgsearch.search import (
-    ShardRange,
     _Budget,
     candidate_values,
     certificate_defects,
@@ -100,11 +99,13 @@ class TestKnownInstances:
     def test_rejects_bad_root_ranges(self):
         spec = spec_for(6, 1, [14], mode="prove")
         with pytest.raises(ValueError):
-            enumerate_order(spec, 14, ranges=[ShardRange(3, 7), ShardRange(5, 11)])
+            enumerate_order(spec, 14, ranges=[(3, 7), (5, 11)])
         with pytest.raises(ValueError):
-            enumerate_order(spec, 14, ranges=[ShardRange(3, 99)])
+            enumerate_order(spec, 14, ranges=[(3, 99)])
         with pytest.raises(ValueError, match="not odd"):
-            enumerate_order(spec, 14, ranges=[ShardRange(4, 9)])
+            enumerate_order(spec, 14, ranges=[(4, 9)])
+        with pytest.raises(ValueError, match="order 20 is not one of the spec's orders"):
+            enumerate_order(spec, 20)
 
 
 class TestCertificates:
@@ -131,16 +132,15 @@ class TestCertificates:
 class TestPartition:
     def test_single_shard_covers_everything(self):
         spec = spec_for(6, 1, [20], mode="prove")
-        (rng,) = partition(spec, 20, 1)
         roots = root_values(20, False)
-        assert (rng.lo, rng.hi) == (roots[0], roots[-1])
+        assert partition(spec, 20, 1) == [(roots[0], roots[-1])]
 
     def test_shard_union_is_disjoint_cover(self):
         spec = spec_for(8, 3, [42], mode="prove")
         roots = root_values(42, False)
         for shards in (1, 2, 3, 7, 100):
             ranges = partition(spec, 42, shards)
-            got = [d for rng in ranges for d in roots if rng.lo <= d <= rng.hi]
+            got = [d for lo, hi in ranges for d in roots if lo <= d <= hi]
             assert got == roots
 
     def test_merge_counts_match_serial(self):
@@ -169,7 +169,7 @@ class TestPartition:
 
     def test_merge_rejects_overlap(self):
         spec = spec_for(6, 1, [14], mode="prove")
-        a = enumerate_order(spec, 14, ranges=[ShardRange(3, 7)])
+        a = enumerate_order(spec, 14, ranges=[(3, 7)])
         with pytest.raises(ValueError):
             merge_certificates([a.certificate, a.certificate])
 
@@ -385,7 +385,7 @@ class TestScanDeadline:
         oc = min_order(spec, shards=3, processes=2).per_order[0]
         assert oc.certificate.status == "budget-exceeded"
         assert oc.certificate.expansions == 0
-        assert oc.pending == (ShardRange(3, 39),)
+        assert oc.pending == ((3, 39),)
 
     def test_passed_deadline_starts_no_pool(self, monkeypatch):
         def no_pool(*args):
@@ -396,7 +396,7 @@ class TestScanDeadline:
         oc = enumerate_order_sharded(spec, 42, 3, 2,
                                      budget=_Budget(None, time.perf_counter() - 1))
         assert oc.certificate.expansions == 0
-        assert oc.pending == (ShardRange(3, 39),)
+        assert oc.pending == ((3, 39),)
         # a scan whose wall budget is already spent when it starts
         late = spec_for(8, 3, [36, 42], mode="prove", wall_budget_s=-1)
         out = min_order(late, shards=3, processes=2)
