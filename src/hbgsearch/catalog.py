@@ -17,8 +17,9 @@ joins vertex i + offset (mod n).
 
 Reader contract, shared by every format: printable ASCII only, integers
 spelled `-?[0-9]+`, blank lines skipped, unknown and repeated keys rejected,
-and any malformed file a ParseError naming `file:line`, with lines counted at
-newline characters only.
+a (g, b, n) that pattern.check_girth and pattern.check_order refuse rejected
+at its line, and any malformed file a ParseError naming `file:line`, with
+lines counted at newline characters only.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .girth import girth_oracle
 from .pattern import (
     OffsetPattern,
     PatternError,
+    check_girth,
+    check_order,
     derived_symmetry_factors,
     expand,
     expansion_defects,
@@ -66,6 +69,14 @@ def _int(value: str) -> int:
     if not _INTEGER.fullmatch(value.strip()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _girth(value: str) -> int:
+    return check_girth(_int(value))
+
+
+def _order(value: str) -> int:
+    return check_order(_int(value))
 
 
 def _count(value: str) -> int:
@@ -203,7 +214,7 @@ class CatalogEntry:
 
 
 _WITNESS = _Format("HBG 1", ordered=True, keys=(
-    ("g", _int, "1"), ("n", _int, "1"), ("b", _int, "1"),
+    ("g", _girth, "1"), ("n", _order, "1"), ("b", _int, "1"),
     ("offsets", _ints(), "1"), ("note", str, "?"),
 ))
 
@@ -212,15 +223,17 @@ def parse_witness(text: str, source: str = "<string>") -> CatalogEntry:
     """Parse a witness file; grammar errors raise ParseError.
 
     Structural validity of the pattern itself is the job of verify_witness;
-    this only enforces the file grammar (key order, integer fields, offset
-    count matching 2b) and normalizes offsets into (0, n).
+    this enforces the file grammar (key order, integer fields, offset count
+    matching 2b), refuses a (g, b, n) that names no sub-problem (by
+    check_girth and check_order) at the line of the value refused, and
+    normalizes offsets into (0, n).
     """
     fields, line = _read(_WITNESS, text, source)
     n, b, offs = fields["n"], fields["b"], fields["offsets"]
-    if n < 6 or n % 2 != 0:
-        raise ParseError(source, line["n"], f"n={n}: order must be an even integer >= 6")
-    if b < 1:
-        raise ParseError(source, line["b"], f"b={b}: symmetry factor must be positive")
+    try:
+        check_order(n, b)
+    except PatternError as exc:
+        raise ParseError(source, line["b"], f"b: {exc}") from None
     if len(offs) != 2 * b:
         raise ParseError(source, line["offsets"],
                          f"expected {2 * b} offsets for b={b}, got {len(offs)}")
@@ -250,9 +263,7 @@ KNOWN_BOUNDS = {14: 258}
 
 def moore_floor(g: int) -> int:
     """Counting lower bound on the order of a degree-3 graph with even girth g."""
-    if g < 4 or g % 2 != 0:
-        raise ValueError(f"even girth >= 4 required, got {g}")
-    return 2 * (2 ** (g // 2) - 1)
+    return 2 * (2 ** (check_girth(g) // 2) - 1)
 
 
 def lower_bound_order(g: int, b: int, bound: int | None = None) -> int:
@@ -261,8 +272,7 @@ def lower_bound_order(g: int, b: int, bound: int | None = None) -> int:
     The bound is `bound` when given, else the published bound for g in
     KNOWN_BOUNDS, else the counting floor.
     """
-    if b < 1:
-        raise ValueError(f"b must be positive, got {b}")
+    check_order(6 * b, b)  # a RangeError unless b >= 1, as each such b has the order 6b
     if bound is None:
         bound = KNOWN_BOUNDS[g] if g in KNOWN_BOUNDS else moore_floor(g)
     step = 2 * b
@@ -360,7 +370,7 @@ def verify_witness(entry: CatalogEntry) -> VerificationReport:
 # the fields that name one search: certificates merge, and a resume file
 # resumes, only within one search
 _SEARCH_KEYS = (
-    ("g", _int, "1"), ("n", _int, "1"), ("b", _int, "1"),
+    ("g", _girth, "1"), ("n", _order, "1"), ("b", _int, "1"),
     ("mode", _words(*MODES), "1"), ("reduction", _words("on", "off"), "1"),
 )
 _COUNTERS = tuple(key.replace("_", "-") for key in COUNTERS)
@@ -427,9 +437,10 @@ def write_certificate_file(path, cert: ExhaustionCertificate) -> None:
 class ResumeState:
     """The pending root ranges of one interrupted order, as (lo, hi) pairs.
 
-    parse_resume refuses a file at its `n` line unless it names a search,
-    and at its first `shard` line unless range_defects accepts the pending
-    ranges: odd, ascending, disjoint and inside the root span.
+    parse_resume refuses a `g` or `n` that names no sub-problem at its own
+    line, a file that names no search at its `n` line, and one whose pending
+    ranges range_defects refuses (they must be odd, ascending, disjoint and
+    inside the root span) at its first `shard` line.
     """
 
     g: int
@@ -612,24 +623,18 @@ def format_non_existence(g: int, report: dict[int, list[int]], fmt: str = "text"
 # --- claims files (unverified literature data for tables) ------------------
 
 def _claim(tail: bool = False) -> Callable[[str], tuple]:
-    """Kind: `<b> <order>`, then free text if `tail`, for an order that b divides."""
+    """Kind: `<b> <order>`, then free text if `tail`, for an order of b."""
     ints = _ints(2, tail)
 
     def parse(value: str) -> tuple:
         claim = ints(value)
-        b, order = claim[:2]
-        if b < 1:
-            raise ValueError(f"b={b}: symmetry factor must be positive")
-        if order < 6 or order % 2 != 0:
-            raise ValueError(f"order {order} is not an even integer >= 6")
-        if (order // 2) % b != 0:
-            raise ValueError(f"order {order}: b={b} does not divide m={order // 2}")
+        check_order(claim[1], claim[0])
         return claim
     return parse
 
 
 _CLAIMS = _Format("HBG-CLAIMS 1", keys=(
-    ("g", _int, "1"), ("bound", _int, "?"),
+    ("g", _girth, "1"), ("bound", _int, "?"),
     ("exhausted", _claim(), "*"), ("upper", _claim(tail=True), "*"),
 ))
 
@@ -645,8 +650,6 @@ def parse_claims(text: str, source: str = "<string>",
     """
     fields, line = _read(_CLAIMS, text, source)
     g, bound = fields["g"], fields.get("bound")
-    if g < 4 or g % 2 != 0:
-        raise ParseError(source, line["g"], f"g={g}: girth must be even and >= 4")
     # the floor is at least 2^(g/2): a bound of at most g/2 bits is below it,
     # and no floor of unbounded size is computed
     if bound is not None and (bound.bit_length() <= g // 2 or bound < moore_floor(g)):

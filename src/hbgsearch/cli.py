@@ -8,7 +8,9 @@ Exit status contract: 0 completed, 1 usage/verification/parse failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import glob
 import math
 import os
 import sys
@@ -37,17 +39,17 @@ from .catalog import (
     write_witness_file,
 )
 from .girth import girth_oracle
-from .pattern import PatternError, canonical_form, expand, validate_pattern
+from .pattern import (PatternError, canonical_form, check_girth, check_order, expand,
+                      validate_pattern)
 from .search import (
     COUNTERS,
     ExhaustionCertificate,
     OrderOutcome,
     SearchSpec,
-    outcome_status,
+    _witness_records,
     enumerate_order,
     merge_certificates,
     min_order,
-    normalize_mode,
 )
 
 EXIT_OK = 0
@@ -138,6 +140,20 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _sub_problem_args(args) -> list[int] | None:
+    """The factors of `--sym`, or None without it, once `--girth` and each
+    factor are known to name sub-problems; anything else is a usage error.
+    table and report call this before they read any file."""
+    bs = _parse_sym_list(args.sym) if args.sym else None
+    try:
+        check_girth(args.girth)
+        for b in bs or ():
+            check_order(6 * b, b)  # every factor b >= 1 has the order 6b
+    except PatternError as exc:
+        raise _UsageError(str(exc)) from None
+    return bs
+
+
 def _parse_sym_list(text: str) -> list[int]:
     out: list[int] = []
     try:
@@ -157,8 +173,8 @@ def _parse_sym_list(text: str) -> list[int]:
 
 # --- search ----------------------------------------------------------------
 
-def _witness_path(out_dir, spec, order, idx):
-    return os.path.join(out_dir, f"g{spec.g}_n{order}_b{spec.b}_w{idx:03d}.hbg")
+def _witness_path(out_dir, spec, order, number: str):
+    return os.path.join(out_dir, f"g{spec.g}_n{order}_b{spec.b}_w{number}.hbg")
 
 
 def _cert_path(out_dir, g, order, b):
@@ -187,7 +203,7 @@ def _emit_outcome(spec: SearchSpec, oc: OrderOutcome, out_dir: str | None, quiet
                              offsets=w.pattern.offsets,
                              note=f"found by search, measured girth {w.measured_girth}")
         if out_dir:
-            write_witness_file(_witness_path(out_dir, spec, oc.order, idx), entry)
+            write_witness_file(_witness_path(out_dir, spec, oc.order, f"{idx:03d}"), entry)
         elif not quiet:
             sys.stdout.write(serialize_witness(entry))
     if out_dir:
@@ -226,15 +242,15 @@ def cmd_search(args) -> int:
     if missing:
         raise _UsageError("search requires " + ", ".join(missing))
     b = args.sym
-    orders = [n for n in range(args.min_order, args.max_order + 1)
-              if n % 2 == 0 and (n // 2) % b == 0 and n >= 6]
+    # the orders of b from --min to --max: the multiples of 2b from 6 on
+    orders = [n for n in range(max(6, args.min_order), args.max_order + 1) if n % (2 * b) == 0]
     if not orders:
         raise _UsageError(
             f"no order in {args.min_order}..{args.max_order} has "
             f"m divisible by b={b}")
     try:
         spec = SearchSpec(g=args.girth, b=b, orders=tuple(orders),
-                          mode=normalize_mode(args.mode),
+                          mode=args.mode,
                           node_budget=args.node_budget,
                           wall_budget_s=args.wall_budget,
                           reduction=args.reduce)
@@ -270,6 +286,23 @@ def cmd_search(args) -> int:
     return EXIT_BUDGET if breached else EXIT_OK
 
 
+def _prior_witnesses(out_dir: str, spec: SearchSpec, order: int) -> list[tuple[int, ...]]:
+    """The offsets of the order's witness files in out_dir; a file that does
+    not parse, or is not a verified witness of the sub-problem, raises a
+    ValueError that names it."""
+    found = []
+    for path in sorted(glob.glob(_witness_path(glob.escape(out_dir), spec, order, "[0-9]*"))):
+        entry = parse_witness_file(path)
+        if (entry.g, entry.order, entry.b) != (spec.g, order, spec.b):
+            raise ValueError(f"{path}: a witness of g={entry.g} n={entry.order} b={entry.b}, "
+                             "not of this search")
+        report = verify_witness(entry)
+        if not report.passed:
+            raise ValueError(f"{path}: {report.lines()[-1]}")
+        found.append(entry.offsets)
+    return found
+
+
 def _run_resume(args) -> int:
     state = parse_resume_file(args.resume)
     budget = args.node_budget if args.node_budget is not None else state.node_budget
@@ -288,7 +321,10 @@ def _run_resume(args) -> int:
                 g=state.g, order=state.order, b=state.b, mode=state.mode,
                 reduction=state.reduction, covered=state.pending, status="complete",
                 **dict.fromkeys(COUNTERS, 0))])
-    except ValueError as exc:  # ParseError and a refused merge
+        # the order's witnesses are those of every step of its resume chain
+        found = (_prior_witnesses(out_dir, spec, state.order)
+                 if spec.mode == "all-witnesses" else [])
+    except ValueError as exc:  # ParseError, a refused merge or a refused witness
         _eprint(f"error: {exc}; {cert_path} left unchanged")
         return EXIT_ERROR
     os.makedirs(out_dir, exist_ok=True)
@@ -303,8 +339,10 @@ def _run_resume(args) -> int:
                  else f"--wall-budget {spec.wall_budget_s}")
         _eprint(f"no progress: order {state.order} root {oc.pending[0][0]} "
                 f"needs more than {limit}")
-    oc = OrderOutcome(order=oc.order, status=outcome_status(oc.witnesses, cert),
-                      witnesses=oc.witnesses, certificate=cert, pending=oc.pending)
+    if found:
+        found += [w.pattern.offsets for w in oc.witnesses]
+        oc = dataclasses.replace(oc, witnesses=_witness_records(spec, state.order, found))
+    oc = dataclasses.replace(oc, certificate=cert)
     _emit_outcome(spec, oc, out_dir, args.quiet)
     resume_path = _resume_path(out_dir, spec.g, state.order, spec.b)
     if oc.pending:
@@ -409,6 +447,7 @@ def _scan_directory(dir_path: str, g: int, witnesses: bool = True):
 
 
 def cmd_table(args) -> int:
+    bs = _sub_problem_args(args)
     if not os.path.isdir(args.dir):
         _eprint(f"error: {args.dir} is not a directory")
         return EXIT_ERROR
@@ -421,7 +460,7 @@ def cmd_table(args) -> int:
         if claims_g != args.girth:
             _eprint(f"error: claims file is for g={claims_g}, table is for g={args.girth}")
             return EXIT_ERROR
-    bs = _parse_sym_list(args.sym) if args.sym else sorted(inputs)
+    bs = sorted(inputs) if bs is None else bs
     if not bs:
         _eprint("error: no symmetry factors found; give --sym or add files")
         return EXIT_ERROR
@@ -436,15 +475,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_report(args) -> int:
+    keep = _sub_problem_args(args)
     if not os.path.isdir(args.dir):
         _eprint(f"error: {args.dir} is not a directory")
         return EXIT_ERROR
     _, certs, skipped = _scan_directory(args.dir, args.girth, witnesses=False)
     for msg in skipped:
         _eprint(f"note: skipped {msg}")
-    if args.sym:
-        keep = set(_parse_sym_list(args.sym))
-        certs = [c for c in certs if c.b in keep]
+    certs = [c for c in certs if keep is None or c.b in keep]
     try:
         report = non_existence_report(args.girth, certs)
     except ValueError as exc:

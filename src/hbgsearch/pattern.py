@@ -21,7 +21,7 @@ class PatternError(ValueError):
 
 
 class RangeError(PatternError):
-    """m or b outside the supported range (m >= 3, b >= 1)."""
+    """g, n or b outside the supported range (even g >= 4, even n >= 6, b >= 1)."""
 
 
 class DivisibilityError(PatternError):
@@ -84,20 +84,39 @@ def involution_partner(position: int, offset: int, positions: int) -> int:
     return (position + offset) % positions
 
 
+def check_girth(g: int) -> int:
+    """g, if it is the girth of a sub-problem, an even integer >= 4; else a RangeError."""
+    if g < 4 or g % 2 != 0:
+        raise RangeError(f"g={g}: girth must be even and >= 4")
+    return g
+
+
+def check_order(n: int, b: int = 1) -> int:
+    """n, if it is an order of the sub-problems of symmetry factor b: b >= 1,
+    and n = 2m an even integer >= 6 with b dividing m.  Else a RangeError,
+    or a DivisibilityError when only the division fails.
+
+    This and check_girth are the one rule for which (g, b, n) name a
+    sub-problem; every file reader, search spec and command asks them.
+    """
+    if b < 1:
+        raise RangeError(f"b={b}: symmetry factor must be positive")
+    if n < 6 or n % 2 != 0:
+        raise RangeError(f"order {n} is not an even integer >= 6")
+    if (n // 2) % b != 0:
+        raise DivisibilityError(f"order {n}: b={b} does not divide m={n // 2}")
+    return n
+
+
 def validate_pattern(m: int, b: int, offsets) -> OffsetPattern:
     """Normalize and validate an offset sequence into an OffsetPattern.
 
-    Offsets may be given as arbitrary integers; they are reduced mod 2m into
-    (0, 2m).  Raises a PatternError subclass describing the first violated
-    constraint; positions in messages are 1-based.
+    The order 2m and b must pass check_order.  Offsets may be given as
+    arbitrary integers; they are reduced mod 2m into (0, 2m).  Raises a
+    PatternError subclass describing the first violated constraint;
+    positions in messages are 1-based.
     """
-    if m < 3:
-        raise RangeError(f"m={m}: no simple trivalent graph below order 6")
-    if b < 1:
-        raise RangeError(f"b={b}: symmetry factor must be a positive integer")
-    if m % b != 0:
-        raise DivisibilityError(f"b={b} does not divide m={m}")
-    n = 2 * m
+    n = check_order(2 * m, b)
     b2 = 2 * b
     seq = [int(x) for x in offsets]
     if len(seq) != b2:

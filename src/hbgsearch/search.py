@@ -50,9 +50,10 @@ from dataclasses import dataclass, replace
 
 from .girth import chord_cycle_shorter_than, girth_oracle, node_filter
 from .pattern import (
-    DivisibilityError,
     OffsetPattern,
     canonical_form,
+    check_girth,
+    check_order,
     expand,
     validate_pattern,
 )
@@ -88,17 +89,12 @@ class SearchSpec:
     reduction: bool = False
 
     def __post_init__(self):
-        if self.g < 4 or self.g % 2 != 0:
-            raise ValueError(f"girth target must be an even integer >= 4, got {self.g}")
-        if self.b < 1:
-            raise ValueError(f"symmetry factor must be positive, got {self.b}")
+        check_girth(self.g)
+        if not self.orders:
+            raise ValueError("a search needs at least one order")
         object.__setattr__(self, "mode", normalize_mode(self.mode))
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
-        for n in self.orders:
-            if n < 6 or n % 2 != 0:
-                raise ValueError(f"order {n} is not an even integer >= 6")
-            if (n // 2) % self.b != 0:
-                raise DivisibilityError(f"order {n}: b={self.b} does not divide m={n // 2}")
+        object.__setattr__(self, "orders", tuple(check_order(int(n), self.b)
+                                                 for n in self.orders))
 
 
 @dataclass(frozen=True)
@@ -193,17 +189,28 @@ class WitnessRecord:
 @dataclass(frozen=True)
 class OrderOutcome:
     order: int
-    status: str  # "witness" | "exhausted" | "undecided"
     witnesses: tuple[WitnessRecord, ...]
     certificate: ExhaustionCertificate
     pending: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def status(self) -> str:
+        """"witness", "exhausted" or "undecided"."""
+        # prove runs keep no witness records but still count leaves
+        if self.witnesses or self.certificate.leaves > 0:
+            return "witness"
+        return "exhausted" if self.certificate.covers_order() else "undecided"
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
     spec: SearchSpec
     per_order: tuple[OrderOutcome, ...]
-    minimal_order: int | None
+
+    @property
+    def minimal_order(self) -> int | None:
+        """The least order scanned with a witness, or None."""
+        return next((oc.order for oc in self.per_order if oc.status == "witness"), None)
 
 
 def candidate_values(order: int) -> list[int]:
@@ -562,18 +569,8 @@ def enumerate_order(
         covered=_coalesce(covered), status=status,
         **dict(zip(COUNTERS, totals)),
     )
-    witnesses = _witness_records(spec, order, raw_leaves)
-    return OrderOutcome(order=order, status=outcome_status(witnesses, cert),
-                        witnesses=witnesses, certificate=cert, pending=tuple(pending))
-
-
-def outcome_status(witnesses, cert: ExhaustionCertificate) -> str:
-    # prove runs keep no witness records but still count leaves
-    if witnesses or cert.leaves > 0:
-        return "witness"
-    if cert.covers_order():
-        return "exhausted"
-    return "undecided"
+    return OrderOutcome(order=order, witnesses=_witness_records(spec, order, raw_leaves),
+                        certificate=cert, pending=tuple(pending))
 
 
 def partition(spec: SearchSpec, order: int, shards: int) -> list[tuple[int, int]]:
@@ -770,7 +767,6 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
         raise ValueError("orders must be strictly ascending")
     budget = _Budget.of(spec)
     outcomes: list[OrderOutcome] = []
-    minimal = None
     with _ScanPool(processes) as pool:
         if processes and processes > 1 and not budget.spent():
             payloads = _shard_payloads(spec, spec.orders, shards, budget)
@@ -785,8 +781,6 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
                 # later orders would re-breach immediately, so leave them
                 # pending, and read no more results from the pool
                 budget.remaining = 0
-            if oc.status == "witness" and minimal is None:
-                minimal = order
-                if spec.mode == "first-witness":
-                    break
-    return SearchOutcome(spec=spec, per_order=tuple(outcomes), minimal_order=minimal)
+            if oc.status == "witness" and spec.mode == "first-witness":
+                break
+    return SearchOutcome(spec=spec, per_order=tuple(outcomes))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -405,6 +406,65 @@ class TestResumeSafety:
                            "--quiet", capsys=capsys)
         assert code == 2
         return out_dir / "g14_n258_b3.resume"
+
+    @staticmethod
+    def _all_witnesses(order, out_dir, capsys, *options):
+        return run_cli("search", "--girth", "8", "--sym", "3", "--min", str(order),
+                       "--max", str(order), "--mode", "all", "--out", str(out_dir),
+                       "--quiet", *options, capsys=capsys)
+
+    @pytest.mark.parametrize("order, budget, reduce, chain", [
+        pytest.param(42, 150, True, True, id="n42-budget150-reduced-chain"),  # 6 resumes
+        pytest.param(42, 400, True, True, id="n42-budget400-reduced-chain"),
+        pytest.param(48, 400, True, True, id="n48-budget400-reduced-chain"),
+        pytest.param(48, 1000, True, True, id="n48-budget1000-reduced-chain"),
+        pytest.param(54, 400, True, True, id="n54-budget400-reduced-chain"),
+        pytest.param(54, 1000, True, True, id="n54-budget1000-reduced-chain"),
+        pytest.param(48, 400, False, True, id="n48-budget400-unreduced-chain"),  # 7 resumes
+        # control: one unbounded resume of an unreduced run
+        pytest.param(42, 150, False, False, id="n42-budget150-unreduced-once"),
+    ])
+    def test_resumed_all_witnesses_run_leaves_the_uninterrupted_files(
+            self, order, budget, reduce, chain, tmp_path, capsys):
+        options = ("--reduce",) if reduce else ()
+        direct, resumed = tmp_path / "direct", tmp_path / "resumed"
+        code, direct_out, _ = self._all_witnesses(order, direct, capsys, *options)
+        assert code == 0
+        code, *_ = self._all_witnesses(order, resumed, capsys, *options,
+                                       "--node-budget", str(budget))
+        assert code == 2
+        more = () if chain else ("--node-budget", "1000000000")
+        for _ in range(30):  # a chain resumes with the budget its resume file holds
+            code, out, _ = run_cli("search", "--resume", str(resumed / f"g8_n{order}_b3.resume"),
+                                   "--quiet", *more, capsys=capsys)
+            if code != 2:
+                break
+        assert code == 0
+        # the same witness count, and every .hbg and .cert byte
+        assert out.splitlines()[0] == direct_out.splitlines()[0]
+        assert _snapshot(resumed) == _snapshot(direct)
+
+    @pytest.mark.parametrize("old, new, cited", [
+        pytest.param(r"g 8\n", "g 5\n", ":2: g: g=5", id="unparsable"),
+        pytest.param(r"g 8\n", "g 10\n", ": a witness of g=10 n=42 b=3, not of this search",
+                     id="other-search"),
+        pytest.param(r"offsets .*\n", "offsets 5 9 5 9 5 9\n", ": FAIL positions 1 and 6",
+                     id="unverified"),
+    ])
+    def test_bad_prior_witness_file_refuses_the_resume(self, old, new, cited, tmp_path, capsys,
+                                                       monkeypatch):
+        out_dir = tmp_path / "out"
+        code, *_ = self._all_witnesses(42, out_dir, capsys, "--reduce", "--node-budget", "150")
+        assert code == 2
+        witness = out_dir / "g8_n42_b3_w000.hbg"
+        witness.write_text(re.sub(old, new, witness.read_text()))
+        before = _snapshot(out_dir)
+        monkeypatch.setattr(cli, "enumerate_order", _no_enumeration)
+        code, out, err = run_cli("search", "--resume", str(out_dir / "g8_n42_b3.resume"),
+                                 "--quiet", capsys=capsys)
+        assert code == 1
+        assert f"error: {witness}{cited}" in err and "Traceback" not in err
+        assert _snapshot(out_dir) == before
 
     def test_stale_resume_file_is_refused_and_writes_nothing(self, tmp_path, capsys,
                                                              monkeypatch):

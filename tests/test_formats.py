@@ -119,6 +119,7 @@ CERT_LINES = CERT.splitlines()
     ("g", "g 1_4"),
     ("n", "n +14"),
     ("nodes", "nodes １"),
+    ("g", "g 7"),  # names no sub-problem
 ])
 def test_certificate_field_is_refused_at_its_line(key, bad):
     lineno = next(i for i, line in enumerate(CERT_LINES, 1) if line.startswith(key + " "))
@@ -162,6 +163,10 @@ def test_claims_line_is_refused_at_its_line(lineno, bad):
     ("HBG 1\ng 6\nn 15\nb 1\noffsets 5 9\n", 3),
     ("HBG 1\ng 6\nn 14\n\nb 0\noffsets 5 9\n", 5),
     ("HBG 1\ng 6\nn 14\nb 1\noffsets 5 9 7\n", 5),
+    # a (g, b, n) that names no sub-problem, at the line of the value refused
+    ("HBG 1\ng 5\nn 14\nb 1\noffsets 5 9\n", 2),
+    ("HBG 1\ng -2\nn 14\nb 1\noffsets 5 9\n", 2),
+    ("HBG 1\ng 6\nn 14\nb 2\noffsets 5 9 5 9\n", 4),
 ])
 def test_witness_line_is_refused_at_its_line(text, lineno, tmp_path):
     with pytest.raises(ParseError, match=f"^w.hbg:{lineno}: "):
@@ -218,6 +223,7 @@ RESUME_EDITS = {
     "overlapping": ("shard 175 263", "shard 101 263", 8),
     "no-such-search": ("n 266", "n 268", 3),  # b=7 does not divide m=134
 }
+G5_WITNESS = WITNESS.replace("g 6\n", "g 5\n").encode("ascii")
 BAD_CLAIMS = CLAIMS.replace("upper 4 440", "upper 4 y").encode("ascii")
 BAD_BOUND = b"HBG-CLAIMS 1\ng 6\nbound 1_4\n"
 
@@ -237,9 +243,12 @@ BAD_BOUND = b"HBG-CLAIMS 1\ng 6\nbound 1_4\n"
     (["report", "--girth", "6", "--dir", "{d}"], {"x.cert": BAD_CERT}, "x.cert", 9, 1),
     (["table", "--girth", "6", "--dir", "{d}", "--sym", "1"], {"x.hbg": UTF8_WITNESS},
      "x.hbg", 6, 1),
+    # a witness of girth 5 names no sub-problem
+    (["verify", "{w}"], {"w": G5_WITNESS}, "w", 2, 1),
+    (["table", "--girth", "6", "--dir", "{d}"], {"x.hbg": G5_WITNESS}, "x.hbg", 2, 1),
 ], ids=["verify", "render", "girth", "canon", "table-claims", "table-claims-bound",
         "search-resume", *(f"search-resume-{name}" for name in RESUME_EDITS),
-        "report-dir", "table-dir"])
+        "report-dir", "table-dir", "verify-g5", "table-dir-g5"])
 def test_command_on_malformed_file_names_file_and_line(argv, files, bad, lineno, code,
                                                        tmp_path, capsys):
     paths = {key: tmp_path / key for key in files}
@@ -252,10 +261,20 @@ def test_command_on_malformed_file_names_file_and_line(argv, files, bad, lineno,
     assert {key: path.read_bytes() for key, path in paths.items()} == files
 
 
-@pytest.mark.parametrize("command, sym", [("table", "abc"), ("report", "1-x")])
-def test_bad_sym_list_is_a_usage_error(command, sym, tmp_path, capsys):
-    assert main([command, "--girth", "6", "--dir", str(tmp_path), "--sym", sym]) == 1
-    assert "usage error: --sym" in capsys.readouterr().err
+@pytest.mark.parametrize("command, girth, sym, message", [
+    pytest.param("table", "6", "abc", "--sym", id="table-abc"),
+    pytest.param("report", "6", "1-x", "--sym", id="report-1-x"),
+    # a --girth or --sym that names no sub-problem, refused before any file is read
+    *(pytest.param(command, girth, sym, message, id=f"{command}-g{girth}-sym{sym}")
+      for command in ("table", "report")
+      for girth, sym, message in (("7", "1", "g=7: girth must be even and >= 4"),
+                                  ("6", "0", "b=0: symmetry factor must be positive"))),
+])
+def test_bad_sym_list_is_a_usage_error(command, girth, sym, message, tmp_path, capsys,
+                                       monkeypatch):
+    monkeypatch.setattr(cli, "_scan_directory", None)  # reading the directory would raise
+    assert main([command, "--girth", girth, "--dir", str(tmp_path), "--sym", sym]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
 
 
 def test_report_ignores_a_malformed_witness(tmp_path, capsys):

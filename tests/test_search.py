@@ -48,6 +48,9 @@ class TestSpec:
             SearchSpec(g=6, b=3, orders=(8,))
         with pytest.raises(ValueError):
             SearchSpec(g=5, b=1, orders=(8,))
+        # without an order, no check would ever see b
+        with pytest.raises(ValueError, match="at least one order"):
+            SearchSpec(g=6, b=0, orders=())
 
     def test_candidate_and_root_values(self):
         assert candidate_values(14) == [3, 5, 7, 9, 11]
