@@ -41,7 +41,6 @@ from .search import (
     SearchSpec,
     WitnessRecord,
     enumerate_order,
-    enumerate_order_sharded,
     merge_certificates,
     min_order,
     partition,

@@ -46,7 +46,7 @@ from .search import (
     ExhaustionCertificate,
     OrderOutcome,
     SearchSpec,
-    _witness_records,
+    WitnessRecord,
     enumerate_order,
     merge_certificates,
     min_order,
@@ -145,13 +145,19 @@ def _sub_problem_args(args) -> list[int] | None:
     factor are known to name sub-problems; anything else is a usage error.
     table and report call this before they read any file."""
     bs = _parse_sym_list(args.sym) if args.sym else None
+    _usage_checked(check_girth, args.girth)
+    for b in bs or ():
+        _usage_checked(check_order, 6 * b, b)  # every factor b >= 1 has the order 6b
+    return bs
+
+
+def _usage_checked(check, *values) -> None:
+    """check(*values), with the PatternError of a value that names no
+    sub-problem raised as a usage error."""
     try:
-        check_girth(args.girth)
-        for b in bs or ():
-            check_order(6 * b, b)  # every factor b >= 1 has the order 6b
+        check(*values)
     except PatternError as exc:
         raise _UsageError(str(exc)) from None
-    return bs
 
 
 def _parse_sym_list(text: str) -> list[int]:
@@ -226,8 +232,9 @@ def _require_finite_positive(name: str, value: float | None) -> None:
 
 def cmd_search(args) -> int:
     # counts and budgets are refused before any order runs, --resume or not
-    for name, val in (("--sym", args.sym), ("--shards", args.shards),
-                      ("--node-budget", args.node_budget)):
+    if args.sym is not None:  # the rule table and report apply to each --sym
+        _usage_checked(check_order, 6 * args.sym, args.sym)
+    for name, val in (("--shards", args.shards), ("--node-budget", args.node_budget)):
         if val is not None and val < 1:
             raise _UsageError(f"{name} must be at least 1, got {val}")
     _require_finite_positive("--wall-budget", args.wall_budget)
@@ -286,10 +293,10 @@ def cmd_search(args) -> int:
     return EXIT_BUDGET if breached else EXIT_OK
 
 
-def _prior_witnesses(out_dir: str, spec: SearchSpec, order: int) -> list[tuple[int, ...]]:
-    """The offsets of the order's witness files in out_dir; a file that does
-    not parse, or is not a verified witness of the sub-problem, raises a
-    ValueError that names it."""
+def _prior_witnesses(out_dir: str, spec: SearchSpec, order: int) -> list[WitnessRecord]:
+    """The order's witness files in out_dir, in canonical form with the
+    girth verify_witness measured; a file that does not parse, or is not a
+    verified witness of the sub-problem, raises a ValueError that names it."""
     found = []
     for path in sorted(glob.glob(_witness_path(glob.escape(out_dir), spec, order, "[0-9]*"))):
         entry = parse_witness_file(path)
@@ -299,7 +306,8 @@ def _prior_witnesses(out_dir: str, spec: SearchSpec, order: int) -> list[tuple[i
         report = verify_witness(entry)
         if not report.passed:
             raise ValueError(f"{path}: {report.lines()[-1]}")
-        found.append(entry.offsets)
+        pattern = canonical_form(validate_pattern(order // 2, spec.b, entry.offsets))
+        found.append(WitnessRecord(pattern=pattern, measured_girth=report.measured_girth))
     return found
 
 
@@ -339,10 +347,11 @@ def _run_resume(args) -> int:
                  else f"--wall-budget {spec.wall_budget_s}")
         _eprint(f"no progress: order {state.order} root {oc.pending[0][0]} "
                 f"needs more than {limit}")
-    if found:
-        found += [w.pattern.offsets for w in oc.witnesses]
-        oc = dataclasses.replace(oc, witnesses=_witness_records(spec, state.order, found))
-    oc = dataclasses.replace(oc, certificate=cert)
+    # the witnesses of every step, each measured once: canonical, deduplicated
+    # and sorted as one uninterrupted run's
+    witnesses = {w.pattern.offsets: w for w in found + list(oc.witnesses)}
+    oc = dataclasses.replace(oc, certificate=cert,
+                             witnesses=tuple(witnesses[key] for key in sorted(witnesses)))
     _emit_outcome(spec, oc, out_dir, args.quiet)
     resume_path = _resume_path(out_dir, spec.g, state.order, spec.b)
     if oc.pending:

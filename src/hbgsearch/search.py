@@ -637,7 +637,12 @@ def merge_order_outcomes(spec: SearchSpec, order: int, parts: list[list[tuple]]
                          ) -> list[tuple]:
     """The root records of disjoint shards of one order, in the order given;
     `parts` are what `_shard_worker` returned, and enumerate_order replays
-    the result."""
+    the result.
+
+    The parent passes each worker result through this call as a list of
+    one, although a plain concatenation would do: perfbench's tracer
+    patches it by name to unpack the timings its wrapped workers return.
+    """
     return [run for part in parts for run in part]
 
 
@@ -673,84 +678,73 @@ def _shard_payloads(spec: SearchSpec, orders, shards: int, budget: _Budget) -> l
             for order in orders for rng in _pool_ranges(spec, order, shards)]
 
 
-class _ScanPool:
-    """The worker pool of one scan, forked when the scan sends its shards.
+@contextlib.contextmanager
+def _scan_pool(spec: SearchSpec, shards: int, processes: int | None, budget: _Budget):
+    """The worker pool of one scan: yields the results of every pooled shard
+    of the scan's orders, in one chunked imap stream, or None when the scan
+    runs in process.
 
-    `send` starts every shard of the scan through one chunked imap, and
-    each pooled order reads the results of its own shards from `results`,
-    in turn.  Leaving the `with` block, on every exit path, drops every
-    shard sent and not read: each worker finishes the root it is running,
-    runs no other, and exits.  The workers are not terminated, because
-    Pool.terminate hangs when it kills a worker that holds the lock of the
-    result queue.  A scan that sends no shards never forks.
+    The pool is forked, and every shard sent, when the scan starts, each
+    shard with its own copy of the budget.  Leaving the `with` block, on
+    every exit path, drops every shard sent and not read: each worker
+    finishes the root it is running, runs no other, and exits.  The workers
+    are not terminated, because Pool.terminate hangs when it kills a worker
+    that holds the lock of the result queue.  A scan with no pooled shard,
+    or whose budget is spent at its start, never forks.
     """
+    payloads = (_shard_payloads(spec, spec.orders, shards, budget)
+                if processes and processes > 1 and not budget.spent() else None)
+    if not payloads:
+        yield None
+        return
+    import multiprocessing  # only a pooled scan pays for the import
 
-    def __init__(self, processes: int | None):
-        self.processes = processes
-        self._pool = None
-        self._scan_over = None
-        self.results = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._pool is not None:
-            self._scan_over.set()
-            self._pool.close()
-            self._pool.join()
-
-    def send(self, payloads: list[tuple]):
-        """Start every payload now, in about 8 chunks per process; call once."""
-        import multiprocessing  # only a pooled scan pays for the import
-
-        self._scan_over = multiprocessing.Event()
-        self._pool = multiprocessing.Pool(self.processes, _start_worker, (self._scan_over,))
-        chunk = max(1, len(payloads) // (8 * self.processes))
-        self.results = self._pool.imap(_shard_worker, payloads, chunk)
+    scan_over = multiprocessing.Event()
+    pool = multiprocessing.Pool(processes, _start_worker, (scan_over,))
+    try:
+        yield pool.imap(_shard_worker, payloads, max(1, len(payloads) // (8 * processes)))
+    finally:
+        scan_over.set()
+        pool.close()
+        pool.join()
 
 
-def enumerate_order_sharded(
-    spec: SearchSpec,
-    order: int,
-    shards: int,
-    processes: int | None = None,
-    budget: _Budget | None = None,
-    progress=None,
-    pool: _ScanPool | None = None,
-) -> OrderOutcome:
-    """Enumeration of one order whose roots may run ahead on a process pool.
+def enumerate_order_sharded(spec: SearchSpec, order: int, shards: int,
+                            processes: int | None, budget: _Budget, progress,
+                            results) -> OrderOutcome:
+    """min_order's step for one order: enumerate_order over the full span,
+    replaying the records of the order's pooled shards when there are any.
 
-    In process, or once `budget` is spent, this is one enumerate_order call
-    over the full span, whatever `shards` is.  Pooled, each shard runs its
-    roots ahead on a copy of the budget, and enumerate_order replays their
-    records in root order as each shard's result arrives, so the outcome
-    is the serial one for every mode, budget and shard count, and progress
-    fires per root.
+    `results` is the scan's stream from _scan_pool, or None in process.
+    The order reads the results of its own shards, the next ones in the
+    stream, and enumerate_order replays their records in root order as each
+    result arrives, so the outcome is the serial one for every mode, budget
+    and shard count, and progress fires per root.  An order with no pooled
+    shard, or met once `budget` is spent, runs in process and reads none.
 
-    `pool` is the scan's pool when `min_order` calls this for each order:
-    the order's shards were sent to it when the scan started, and this call
-    reads the next ones of its results.  Without a pool, a pooled call
-    starts its own and closes it on return.
+    A step of min_order could be inlined there, but this one keeps its
+    shape, `processes` as its 4th positional argument included (it reads
+    it for nothing else): perfbench's tracer patches it by name and counts
+    a pooled order per call, until the benchmark hooks the pool elsewhere.
     """
-    if budget is None:
-        budget = _Budget.of(spec)
     ranges = _pool_ranges(spec, order, shards)
-    if not ranges or not processes or processes <= 1 or budget.spent():
+    if results is None or not ranges or budget.spent():
         return enumerate_order(spec, order, budget=budget, progress=progress)
-    with contextlib.ExitStack() as scope:
-        if pool is None:
-            pool = scope.enter_context(_ScanPool(processes))
-            pool.send(_shard_payloads(spec, (order,), shards, budget))
-        runs = itertools.chain.from_iterable(
-            merge_order_outcomes(spec, order, [part])
-            for part in itertools.islice(pool.results, len(ranges)))
-        return enumerate_order(spec, order, budget=budget, progress=progress, runs=runs)
+    runs = itertools.chain.from_iterable(
+        merge_order_outcomes(spec, order, [part])
+        for part in itertools.islice(results, len(ranges)))
+    return enumerate_order(spec, order, budget=budget, progress=progress, runs=runs)
 
 
 def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
               progress=None) -> SearchOutcome:
     """Scan the spec's orders ascending; stop at the first witness in first mode.
+
+    This is the only entry to pooled search: with `processes` above 1, each
+    order's roots are cut into `shards` contiguous ranges that run ahead
+    on a worker pool, and a pooled run of one order is min_order on a
+    one-order spec.  Otherwise every order runs in process, as one range.
+    The outcome is the same either way.
 
     The scan has one budget, node allowance and wall deadline together.
     Once an order breaches it, it is marked spent, so every later order is
@@ -767,14 +761,10 @@ def min_order(spec: SearchSpec, shards: int = 1, processes: int | None = None,
         raise ValueError("orders must be strictly ascending")
     budget = _Budget.of(spec)
     outcomes: list[OrderOutcome] = []
-    with _ScanPool(processes) as pool:
-        if processes and processes > 1 and not budget.spent():
-            payloads = _shard_payloads(spec, spec.orders, shards, budget)
-            if payloads:
-                pool.send(payloads)
+    with _scan_pool(spec, shards, processes, budget) as results:
         for order in spec.orders:
-            oc = enumerate_order_sharded(spec, order, shards, processes or 1, budget,
-                                         progress, pool)
+            oc = enumerate_order_sharded(spec, order, shards, processes, budget,
+                                         progress, results)
             outcomes.append(oc)
             if oc.certificate.status == "budget-exceeded":
                 # the breaching subtree did not fit the remaining allowance;

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hbgsearch import cli
+from hbgsearch import catalog, cli, search
 from hbgsearch.cli import main
 from hbgsearch.search import ENGINE_TAG
 
@@ -443,6 +443,35 @@ class TestResumeSafety:
         # the same witness count, and every .hbg and .cert byte
         assert out.splitlines()[0] == direct_out.splitlines()[0]
         assert _snapshot(resumed) == _snapshot(direct)
+
+    def test_resumed_all_witnesses_step_measures_each_witness_once(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """Each resume step runs the girth oracle once per prior witness file,
+        in its verification, and once per record its enumeration finds."""
+        out_dir = tmp_path / "out"
+        code, *_ = self._all_witnesses(42, out_dir, capsys, "--reduce", "--node-budget", "400")
+        assert code == 2
+        oracle_calls, found = [0], []
+        for mod in (catalog, search):
+            def counting(*args, _oracle=mod.girth_oracle, **kwargs):
+                oracle_calls[0] += 1
+                return _oracle(*args, **kwargs)
+            monkeypatch.setattr(mod, "girth_oracle", counting)
+
+        def recording(*args, _enumerate=cli.enumerate_order, **kwargs):
+            oc = _enumerate(*args, **kwargs)
+            found.append(len(oc.witnesses))
+            return oc
+        monkeypatch.setattr(cli, "enumerate_order", recording)
+        steps = []
+        while code == 2:
+            prior = len(list(out_dir.glob("*.hbg")))
+            oracle_calls[0], found[:] = 0, []
+            code, *_ = run_cli("search", "--resume", str(out_dir / "g8_n42_b3.resume"),
+                               "--quiet", capsys=capsys)
+            steps.append((oracle_calls[0], prior + sum(found)))
+        assert code == 0
+        assert len(steps) > 1 and all(calls == expected for calls, expected in steps), steps
 
     @pytest.mark.parametrize("old, new, cited", [
         pytest.param(r"g 8\n", "g 5\n", ":2: g: g=5", id="unparsable"),

@@ -294,9 +294,14 @@ def test_girth_cap_below_3_is_a_usage_error(cap, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("option, value", [("--sym", "0"), ("--sym", "-2"),
-                                           ("--shards", "0"), ("--shards", "-2")])
-def test_search_count_below_1_is_a_usage_error(option, value, monkeypatch, capsys):
+@pytest.mark.parametrize("option, value, message", [
+    # --sym is refused by the rule table and report apply to it
+    pytest.param("--sym", "0", "b=0: symmetry factor must be positive", id="--sym-0"),
+    pytest.param("--sym", "-2", "b=-2: symmetry factor must be positive", id="--sym--2"),
+    *(pytest.param("--shards", value, f"--shards must be at least 1, got {value}",
+                   id=f"--shards-{value}") for value in ("0", "-2")),
+])
+def test_search_count_below_1_is_a_usage_error(option, value, message, monkeypatch, capsys):
     def no_scan(*args, **kwargs):
         raise AssertionError("the search ran")
 
@@ -305,7 +310,7 @@ def test_search_count_below_1_is_a_usage_error(option, value, monkeypatch, capsy
             "--quiet", option, value]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"usage error: {option} must be at least 1, got {value}" in err
+    assert f"usage error: {message}" in err
     assert "Traceback" not in err
 
 

@@ -10,7 +10,6 @@ from hbgsearch import (
     canonical_form,
     derived_symmetry_factors,
     enumerate_order,
-    enumerate_order_sharded,
     expand,
     girth_oracle,
     merge_certificates,
@@ -32,6 +31,13 @@ from helpers import brute_force_canonical_witnesses, brute_force_survey, root_ev
 
 def spec_for(g, b, orders, mode="all", **kw):
     return SearchSpec(g=g, b=b, orders=tuple(orders), mode=mode, **kw)
+
+
+def sharded(spec, shards, processes=None):
+    """The outcome of a one-order spec cut into shards, pooled when processes
+    is above 1: min_order is the only way into pooled search."""
+    (outcome,) = min_order(spec, shards, processes).per_order
+    return outcome
 
 
 class TestSpec:
@@ -151,7 +157,7 @@ class TestPartition:
             spec = spec_for(8, 3, [42], mode=mode)
             serial = enumerate_order(spec, 42)
             for shards in (2, 4, 9):
-                merged = enumerate_order_sharded(spec, 42, shards)
+                merged = sharded(spec, shards)
                 assert merged.certificate == serial.certificate
                 assert [w.pattern.offsets for w in merged.witnesses] == \
                        [w.pattern.offsets for w in serial.witnesses]
@@ -159,14 +165,14 @@ class TestPartition:
     def test_parallel_processes_match_serial(self):
         spec = spec_for(8, 3, [36], mode="prove")
         serial = enumerate_order(spec, 36)
-        merged = enumerate_order_sharded(spec, 36, shards=4, processes=2)
+        merged = sharded(spec, shards=4, processes=2)
         assert merged.certificate == serial.certificate
 
     def test_first_witness_winner_shard_invariant(self):
         spec = spec_for(8, 3, [30], mode="first")
         serial = enumerate_order(spec, 30)
         for shards in (2, 5):
-            merged = enumerate_order_sharded(spec, 30, shards)
+            merged = sharded(spec, shards)
             assert [w.pattern.offsets for w in merged.witnesses] == \
                    [w.pattern.offsets for w in serial.witnesses]
 
@@ -229,14 +235,14 @@ class TestBudget:
 
     def test_sharded_budget_breach_is_the_serial_one(self):
         spec = spec_for(14, 3, [258], mode="prove", node_budget=4000)
-        a = enumerate_order_sharded(spec, 258, shards=3)
+        a = sharded(spec, shards=3)
         assert a == enumerate_order(spec, 258)
         assert a.certificate.status == "budget-exceeded" and len(a.pending) == 1
 
     def test_pool_run_with_budget_is_deterministic(self):
         spec = spec_for(14, 3, [258], mode="prove", node_budget=6000)
-        a = enumerate_order_sharded(spec, 258, shards=4, processes=2)
-        b = enumerate_order_sharded(spec, 258, shards=4, processes=2)
+        a = sharded(spec, shards=4, processes=2)
+        b = sharded(spec, shards=4, processes=2)
         assert a == b
 
     def test_progress_callback_sees_every_root(self):
@@ -266,7 +272,7 @@ class TestReduction:
     def test_reduction_shards_match_reduced_serial(self):
         spec = spec_for(8, 3, [42], mode="prove", reduction=True)
         serial = enumerate_order(spec, 42)
-        merged = enumerate_order_sharded(spec, 42, shards=3)
+        merged = sharded(spec, shards=3)
         assert merged.certificate == serial.certificate
 
     def test_reduction_agrees_on_nonexistence_at_scale(self):
@@ -395,9 +401,8 @@ class TestScanDeadline:
             raise AssertionError("a pool was started after the deadline")
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        spec = spec_for(8, 3, [42], mode="prove")
-        oc = enumerate_order_sharded(spec, 42, 3, 2,
-                                     budget=_Budget(None, time.perf_counter() - 1))
+        spec = spec_for(8, 3, [42], mode="prove", wall_budget_s=-1)
+        oc = sharded(spec, 3, 2)
         assert oc.certificate.expansions == 0
         assert oc.pending == ((3, 39),)
         # a scan whose wall budget is already spent when it starts
